@@ -41,6 +41,34 @@ void BM_SimulatorSelfRescheduling(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorSelfRescheduling);
 
+// The kernel's far-future path: a hold model with ~80k events pending
+// at 10 us–1 ms delays (a loaded rack's FIFO backlog), so nearly every
+// event is placed in level 2 and later migrated into the ring by a
+// re-anchor. items/s is held events per second.
+struct FarHoldModel {
+  sim::Simulator sim;
+  sim::RandomStream rng{7, "micro.far_hold"};
+  sim::SimTime delay() { return sim::SimTime::microseconds(rng.uniform(10.0, 1000.0)); }
+};
+
+struct FarHoldEvent {
+  FarHoldModel* m;
+  void operator()() const { m->sim.schedule_after(m->delay(), FarHoldEvent{m}); }
+};
+static_assert(sim::is_inline_event_v<FarHoldEvent>);
+
+void BM_SimulatorFarHold(benchmark::State& state) {
+  FarHoldModel m;
+  for (int i = 0; i < 80'000; ++i) m.sim.schedule_after(m.delay(), FarHoldEvent{&m});
+  constexpr std::size_t kHoldsPerIteration = 10'000;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m.sim.run_events(kHoldsPerIteration));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kHoldsPerIteration));
+}
+BENCHMARK(BM_SimulatorFarHold);
+
 void BM_RandomExponential(benchmark::State& state) {
   sim::RandomStream rng(1);
   for (auto _ : state) {

@@ -12,7 +12,7 @@
 //    bucket, not a heap allocation.
 //  - **Cold arm.** Anything else (move-captured vectors, stored
 //    std::functions, oversized captures) is wrapped in an EventHandler
-//    riding in the event's liveness slot inside the Simulator. Cold
+//    kept in a Simulator-side table indexed by the event's slot. Cold
 //    callers keep working unchanged — they just don't get the inline
 //    fast path.
 //
@@ -33,12 +33,22 @@
 namespace rsf::sim {
 
 /// Identifies a scheduled event so it can be cancelled. An id packs
-/// the event's dense liveness slot and that slot's generation; slots
-/// are recycled, so a stale id (fired, cancelled, never existed, or
-/// outlived by 2^32 recycles of one slot) fails the generation check
-/// and cancel() reports false instead of touching the new occupant.
+/// the event's dense liveness slot (plus one, in the top
+/// kEventSlotBits) and that slot's generation (the low
+/// kEventGenerationBits); slots are recycled, so a stale id (fired,
+/// cancelled, never existed) fails the generation check and cancel()
+/// reports false instead of touching the new occupant. Only an id held
+/// across 2^40 recycles of one slot — about 12 hours of one hot slot at
+/// 25M events/s — could alias its occupant.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
+inline constexpr int kEventGenerationBits = 40;
+inline constexpr int kEventSlotBits = 64 - kEventGenerationBits;
+inline constexpr std::uint64_t kEventGenerationMask =
+    (std::uint64_t{1} << kEventGenerationBits) - 1;
+/// Slots an EventId can name: at most this many events pending at once.
+inline constexpr std::uint32_t kMaxPendingEvents =
+    (std::uint32_t{1} << kEventSlotBits) - 1;
 
 /// The cold arm's closure type. Handlers run at the event's timestamp;
 /// they may schedule further events but must not block and must not
@@ -76,14 +86,15 @@ inline constexpr bool is_inline_event_v =
 struct EventRecord {
   SimTime time;
   std::uint64_t seq;
-  /// Liveness: dense slot index + the generation it was claimed at.
-  /// A record whose slot has moved on (cancel, or fire + reuse) is a
-  /// tombstone, skipped and reclaimed when the queue next touches it.
-  std::uint32_t slot;
-  std::uint32_t generation;
+  /// Liveness: the event's own id (slot + the generation it was
+  /// claimed at). A record whose slot has moved on (cancel, or fire +
+  /// reuse) is a tombstone, skipped and reclaimed when the queue next
+  /// touches it.
+  EventId id;
   /// Inline arm: monomorphized trampoline over `payload`.
   /// nullptr tags the cold arm; the EventHandler then lives in the
-  /// event's liveness slot and the payload is unused.
+  /// Simulator's cold-handler table at the event's slot, and the
+  /// payload is unused.
   void (*invoke)(void*);
   alignas(alignof(std::max_align_t)) std::byte payload[kInlineEventBytes];
 };

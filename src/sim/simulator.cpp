@@ -1,13 +1,20 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
+#include <string>
 
 namespace rsf::sim {
 
+void Simulator::Calendar::reset() {
+  heads.fill(kNilIndex);
+  occupied.fill(0);
+  scan_word = 0;
+}
+
 Simulator::Simulator() {
-  heads_.fill(kNilIndex);
+  ring_.reset();
+  far_.reset();
   batch_.reserve(16);
 }
 
@@ -20,39 +27,51 @@ void Simulator::throw_past_time(SimTime when) const {
                          " precedes now " + now_.to_string());
 }
 
-// Overflow-to-ring migration only: the record already carries a full
-// header, it just needs a slab slot and a bucket link.
-void Simulator::insert_record(const EventRecord& rec) {
-  const std::int64_t rel = rec.time.ps() - base_ps_;
-  if (rel >= kWindowPs) {
-    overflow_.push_back(rec);
+void Simulator::throw_slot_limit() {
+  throw std::length_error("Simulator::schedule_at: more than " +
+                          std::to_string(kMaxPendingEvents) +
+                          " events pending (the EventId slot field is full)");
+}
+
+namespace {
+// Min-heap order on time alone: a pull moves every key below a horizon
+// at once, and batches are seq-sorted, so ties need no order.
+struct LaterKey {
+  template <typename Key>
+  bool operator()(const Key& a, const Key& b) const {
+    return a.time_ps > b.time_ps;
+  }
+};
+}  // namespace
+
+void Simulator::place_beyond_far(std::uint32_t index, std::int64_t time_ps) {
+  const std::int64_t now_window = window_of(now_.ps());
+  if (ring_count_ == 0 && far_count_ == 0 && far_heap_.empty() &&
+      time_ps - now_window < kFarSpanPs) {
+    // Nothing is queued, so the ring may re-base on the clock's window
+    // (its base goes stale over an idle stretch) without reordering
+    // anything; the record then fits the ring or level 2.
+    base_ps_ = now_window;
+    place(index, time_ps);
     return;
   }
-  const auto b = static_cast<std::size_t>(rel >> kBucketShift);
-  const std::uint32_t index = claim_record_index();
-  records_[index] = rec;
-  record_next_[index] = heads_[b];
-  heads_[b] = index;
-  occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-  if ((b >> 6) < scan_word_) scan_word_ = b >> 6;
-  sole_ring_index_ = ring_count_ == 0 ? index : kNilIndex;
-  ++ring_count_;
+  far_heap_.push_back(FarKey{time_ps, index});
+  std::push_heap(far_heap_.begin(), far_heap_.end(), LaterKey{});
+  ++stats_.heap_pushes;
 }
 
 bool Simulator::cancel(EventId id) {
-  const std::uint64_t slot_plus_1 = id >> 32;
-  if (slot_plus_1 == 0) return false;
-  const auto index = static_cast<std::uint32_t>(slot_plus_1 - 1);
-  const auto generation = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-  if (!slots_.is_live(index, generation)) return false;
+  if (!is_live(id)) return false;
+  const std::uint32_t index = slot_of(id);
   --(slots_[index].weak ? weak_count_ : strong_count_);
+  if (index < cold_.size()) cold_[index] = nullptr;
   slots_.recycle(index);
   return true;
 }
 
 bool Simulator::next_batch(SimTime until) {
   for (;;) {
-    if (ring_count_ == 0 && !promote_overflow(until)) return false;
+    if (ring_count_ == 0 && !reanchor(until)) return false;
     // Sole-record fast path: with exactly one record in the ring it is
     // the earliest by definition and the head (and only node) of its
     // bucket — no scan, no walk.
@@ -62,11 +81,11 @@ bool Simulator::next_batch(SimTime until) {
       const EventRecord& rec = records_[index];
       const auto b =
           static_cast<std::size_t>((rec.time.ps() - base_ps_) >> kBucketShift);
-      if (!slots_.is_live(rec.slot, rec.generation)) {
+      if (!is_live(rec.id)) {
         // A tombstone: reclaim it here and fall back around the loop.
-        heads_[b] = kNilIndex;
-        occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-        free_record_index(index);
+        ring_.heads[b] = kNilIndex;
+        ring_.clear_bit(b);
+        reclaim_tombstone(index);
         ring_count_ = 0;
         continue;
       }
@@ -74,8 +93,8 @@ bool Simulator::next_batch(SimTime until) {
         sole_ring_index_ = index;  // still pending; keep the hint
         return false;
       }
-      heads_[b] = kNilIndex;
-      occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+      ring_.heads[b] = kNilIndex;
+      ring_.clear_bit(b);
       ring_count_ = 0;
       batch_.clear();
       batch_cursor_ = 0;
@@ -84,21 +103,18 @@ bool Simulator::next_batch(SimTime until) {
       batch_time_ = rec.time;
       return true;
     }
-    std::size_t word = scan_word_;
-    while (occupied_[word] == 0) ++word;
-    scan_word_ = word;
-    const std::size_t b =
-        (word << 6) + static_cast<std::size_t>(std::countr_zero(occupied_[word]));
+    const std::size_t b = ring_.first_occupied();
+    std::uint32_t& head = ring_.heads[b];
     // Pass 1: unlink tombstones, find the earliest live time.
     SimTime min_time = SimTime::infinity();
-    std::uint32_t index = heads_[b];
+    std::uint32_t index = head;
     std::uint32_t prev = kNilIndex;
     while (index != kNilIndex) {
       const std::uint32_t next = record_next_[index];
       const EventRecord& rec = records_[index];
-      if (!slots_.is_live(rec.slot, rec.generation)) {
-        (prev == kNilIndex ? heads_[b] : record_next_[prev]) = next;
-        free_record_index(index);
+      if (!is_live(rec.id)) {
+        (prev == kNilIndex ? head : record_next_[prev]) = next;
+        reclaim_tombstone(index);
         --ring_count_;
       } else {
         if (rec.time < min_time) min_time = rec.time;
@@ -106,18 +122,18 @@ bool Simulator::next_batch(SimTime until) {
       }
       index = next;
     }
-    if (heads_[b] == kNilIndex) {
-      occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    if (head == kNilIndex) {
+      ring_.clear_bit(b);
       continue;
     }
     if (min_time > until) return false;
     batch_.clear();
     batch_cursor_ = 0;
-    if (record_next_[heads_[b]] == kNilIndex) {
+    if (record_next_[head] == kNilIndex) {
       // Lone record in the bucket: it is the whole batch.
-      batch_.push_back(heads_[b]);
-      heads_[b] = kNilIndex;
-      occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+      batch_.push_back(head);
+      head = kNilIndex;
+      ring_.clear_bit(b);
       --ring_count_;
       now_ = min_time;
       batch_time_ = min_time;
@@ -125,22 +141,20 @@ bool Simulator::next_batch(SimTime until) {
     }
     // Pass 2: extract every record at min_time into the batch (their
     // slab indices; the records stay in place until drained).
-    index = heads_[b];
+    index = head;
     prev = kNilIndex;
     while (index != kNilIndex) {
       const std::uint32_t next = record_next_[index];
       if (records_[index].time == min_time) {
         batch_.push_back(index);
-        (prev == kNilIndex ? heads_[b] : record_next_[prev]) = next;
+        (prev == kNilIndex ? head : record_next_[prev]) = next;
         --ring_count_;
       } else {
         prev = index;
       }
       index = next;
     }
-    if (heads_[b] == kNilIndex) {
-      occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    }
+    if (head == kNilIndex) ring_.clear_bit(b);
     if (batch_.size() > 1) {
       std::sort(batch_.begin(), batch_.end(), [this](std::uint32_t a, std::uint32_t c) {
         return records_[a].seq < records_[c].seq;
@@ -152,38 +166,95 @@ bool Simulator::next_batch(SimTime until) {
   }
 }
 
-bool Simulator::promote_overflow(SimTime until) {
-  // The ring is empty. Sweep overflow tombstones and find the earliest
-  // live event without committing to anything.
-  SimTime min_time = SimTime::infinity();
-  std::size_t i = 0;
-  while (i < overflow_.size()) {
-    const EventRecord& rec = overflow_[i];
-    if (!slots_.is_live(rec.slot, rec.generation)) {
-      overflow_[i] = overflow_.back();
-      overflow_.pop_back();
+bool Simulator::reanchor(SimTime until) {
+  // The ring is empty. Take the next occupied level-2 bucket, sweep its
+  // tombstones and find its earliest live time — without committing to
+  // anything.
+  for (;;) {
+    if (far_count_ == 0) return anchor_on_heap(until);
+    const std::size_t b =
+        far_.find_from(far_bucket(base_ps_ + kWindowPs), [](std::size_t) { return true; });
+    std::uint32_t& head = far_.heads[b];
+    SimTime min_time = SimTime::infinity();
+    std::size_t live = 0;
+    std::uint32_t index = head;
+    std::uint32_t prev = kNilIndex;
+    while (index != kNilIndex) {
+      const std::uint32_t next = record_next_[index];
+      const EventRecord& rec = records_[index];
+      if (!is_live(rec.id)) {
+        (prev == kNilIndex ? head : record_next_[prev]) = next;
+        reclaim_tombstone(index);
+        --far_count_;
+      } else {
+        if (rec.time < min_time) min_time = rec.time;
+        ++live;
+        prev = index;
+      }
+      index = next;
+    }
+    if (head == kNilIndex) {
+      far_.clear_bit(b);
       continue;
     }
-    if (rec.time < min_time) min_time = rec.time;
-    ++i;
-  }
-  if (overflow_.empty() || min_time > until) return false;
-  // Committed to executing at min_time: re-anchor the window there and
-  // migrate everything that now fits. Peeking alone must not re-anchor:
-  // base_ps_ may never pass now_, or a schedule between them would
-  // compute a negative bucket.
-  base_ps_ = (min_time.ps() >> kBucketShift) << kBucketShift;
-  i = 0;
-  while (i < overflow_.size()) {
-    if (overflow_[i].time.ps() - base_ps_ < kWindowPs) {
-      insert_record(overflow_[i]);
-      overflow_[i] = overflow_.back();
-      overflow_.pop_back();
-      continue;
+    if (min_time > until) return false;
+    // Committed to executing at min_time: anchor the ring on this
+    // bucket's window (one bucket holds one window: level 2 spans fewer
+    // than 1024) and relink the whole bucket into it. Peeking alone
+    // must not get here — base_ps_ may never pass now_.
+    base_ps_ = window_of(min_time.ps());
+    for (index = head; index != kNilIndex;) {
+      const std::uint32_t next = record_next_[index];
+      ring_.link(static_cast<std::size_t>((records_[index].time.ps() - base_ps_) >> kBucketShift),
+                 index, record_next_);
+      index = next;
     }
-    ++i;
+    ring_.scan_word = static_cast<std::size_t>((min_time.ps() - base_ps_) >> (kBucketShift + 6));
+    sole_ring_index_ = live == 1 ? head : kNilIndex;
+    ring_count_ = live;
+    head = kNilIndex;
+    far_.clear_bit(b);
+    far_count_ -= live;
+    ++stats_.reanchors;
+    stats_.records_migrated += live;
+    pull_from_heap();
+    return true;
   }
+}
+
+bool Simulator::anchor_on_heap(SimTime until) {
+  // Ring and level 2 are empty. Pop tombstones off the heap's top until
+  // a live key surfaces; commit only if it will run, then anchor the
+  // ring on its window.
+  while (!far_heap_.empty() && !is_live(records_[far_heap_.front().index].id)) {
+    const std::uint32_t index = far_heap_.front().index;
+    std::pop_heap(far_heap_.begin(), far_heap_.end(), LaterKey{});
+    far_heap_.pop_back();
+    reclaim_tombstone(index);
+  }
+  if (far_heap_.empty() || far_heap_.front().time_ps > until.ps()) return false;
+  base_ps_ = window_of(far_heap_.front().time_ps);
+  ++stats_.reanchors;
+  pull_from_heap();
   return true;
+}
+
+// The ring's window just moved: pull every heap key that level 2's
+// span (or the ring's window) now covers and place it, so every
+// level-2 time stays below every heap time.
+void Simulator::pull_from_heap() {
+  const std::int64_t horizon = base_ps_ + kFarSpanPs;
+  while (!far_heap_.empty() && far_heap_.front().time_ps < horizon) {
+    const FarKey key = far_heap_.front();
+    std::pop_heap(far_heap_.begin(), far_heap_.end(), LaterKey{});
+    far_heap_.pop_back();
+    if (!is_live(records_[key.index].id)) {
+      reclaim_tombstone(key.index);
+      continue;
+    }
+    place(key.index, key.time_ps);
+    ++stats_.records_migrated;
+  }
 }
 
 std::size_t Simulator::drain_one() {
@@ -192,13 +263,14 @@ std::size_t Simulator::drain_one() {
   // only touches the free list, and everything the handler could need
   // is copied out below before invocation.
   const EventRecord& stored = records_[index];
-  const std::uint32_t slot = stored.slot;
-  const std::uint32_t generation = stored.generation;
+  const EventId id = stored.id;
   void (*const invoke)(void*) = stored.invoke;
-  free_record_index(index);
-  if (!slots_.is_live(slot, generation)) {
+  if (!is_live(id)) {
+    reclaim_tombstone(index);
     return 0;  // cancelled while batched; cancel already freed the slot
   }
+  free_record_index(index);
+  const std::uint32_t slot = slot_of(id);
   --(slots_[slot].weak ? weak_count_ : strong_count_);
   ++executed_;
   if (invoke != nullptr) {
@@ -211,7 +283,8 @@ std::size_t Simulator::drain_one() {
     // recycled first (so a handler cancelling its own id sees false,
     // and a chained reschedule reuses it), and the handler may grow
     // the pool mid-call.
-    EventHandler fn = std::move(slots_[slot].cold);
+    EventHandler fn;
+    fn.swap(cold_[slot]);
     slots_.recycle(slot);
     fn();
   }
@@ -247,47 +320,50 @@ __attribute__((flatten)) std::size_t Simulator::run_events(std::size_t max_event
   return count;
 }
 
-Simulator::PendingKey Simulator::next_key() const {
+// Earliest live key in one calendar level. Buckets partition the
+// level by time, so the first bucket holding a live record contains
+// the level's minimum (and every record at that time — one time maps
+// to one bucket — so the min seq is found in the same walk).
+// Tombstone-only buckets are skipped, not swept: this is a const peek.
+Simulator::PendingKey Simulator::min_key(const Calendar& cal, std::size_t from) const {
   PendingKey best = PendingKey::infinite();
+  cal.find_from(from, [&](std::size_t b) {
+    for (std::uint32_t index = cal.heads[b]; index != kNilIndex; index = record_next_[index]) {
+      const EventRecord& rec = records_[index];
+      if (is_live(rec.id) && PendingKey{rec.time, rec.seq} < best) best = {rec.time, rec.seq};
+    }
+    return best.time != SimTime::infinity();
+  });
+  return best;
+}
+
+// Pruned walk of the heap: a subtree whose root key is later than the
+// best live key so far cannot improve it. Only tombstones (and same-
+// time ties, for the seq order) make it descend past a live node.
+void Simulator::heap_min(std::size_t at, PendingKey& best) const {
+  if (at >= far_heap_.size() || far_heap_[at].time_ps > best.time.ps()) return;
+  const EventRecord& rec = records_[far_heap_[at].index];
+  if (is_live(rec.id) && PendingKey{rec.time, rec.seq} < best) best = {rec.time, rec.seq};
+  heap_min(2 * at + 1, best);
+  heap_min(2 * at + 2, best);
+}
+
+Simulator::PendingKey Simulator::next_key() const {
   // An in-flight batch resumes first: any live remainder runs at
   // batch_time_, which is <= every still-queued time, and the batch is
   // seq-sorted, so the first live record from the cursor is minimal.
   for (std::size_t c = batch_cursor_; c < batch_.size(); ++c) {
     const EventRecord& rec = records_[batch_[c]];
-    if (slots_.is_live(rec.slot, rec.generation)) return {batch_time_, rec.seq};
+    if (is_live(rec.id)) return {batch_time_, rec.seq};
   }
-  // Ring scan, earliest occupied bucket first. Buckets partition the
-  // window by time, so the first bucket holding a live record contains
-  // the ring minimum (and every record at that time — one time maps to
-  // one bucket — so the min seq is found in the same walk). Tombstone-
-  // only buckets are skipped, not swept — this is a const peek;
-  // next_batch() reclaims them.
-  if (ring_count_ != 0) {
-    for (std::size_t word = scan_word_; word < occupied_.size(); ++word) {
-      std::uint64_t bits = occupied_[word];
-      while (bits != 0) {
-        const auto b = (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        for (std::uint32_t index = heads_[b]; index != kNilIndex;
-             index = record_next_[index]) {
-          const EventRecord& rec = records_[index];
-          if (slots_.is_live(rec.slot, rec.generation) &&
-              PendingKey{rec.time, rec.seq} < best) {
-            best = {rec.time, rec.seq};
-          }
-        }
-        if (best.time != SimTime::infinity()) return best;
-      }
-    }
+  // Then the tiers in order: every ring time precedes every level-2
+  // time, which precedes every heap time.
+  PendingKey best = PendingKey::infinite();
+  if (ring_count_ != 0) best = min_key(ring_, ring_.scan_word << 6);
+  if (best.time == SimTime::infinity() && far_count_ != 0) {
+    best = min_key(far_, far_bucket(base_ps_ + kWindowPs));
   }
-  // Overflow only matters when the ring has no live record: overflow
-  // times sit beyond the window, hence beyond every ring time.
-  for (const EventRecord& rec : overflow_) {
-    if (slots_.is_live(rec.slot, rec.generation) &&
-        PendingKey{rec.time, rec.seq} < best) {
-      best = {rec.time, rec.seq};
-    }
-  }
+  if (best.time == SimTime::infinity()) heap_min(0, best);
   return best;
 }
 
@@ -300,20 +376,21 @@ void Simulator::fast_forward_to(SimTime when) {
   }
   // Everything still queued is a tombstone (no live events, and a
   // tombstone owns nothing — cancel freed its slot and handler). Drop
-  // them all and re-anchor the ring at the new clock.
-  heads_.fill(kNilIndex);
+  // them all and re-anchor both levels at the new clock.
+  ring_.reset();
+  far_.reset();
+  far_heap_.clear();
   batch_.clear();
   batch_cursor_ = 0;
-  overflow_.clear();
   records_.clear();
   record_next_.clear();
   record_free_.clear();
   record_spare_ = kNilIndex;
-  occupied_.fill(0);
   ring_count_ = 0;
+  far_count_ = 0;
   sole_ring_index_ = kNilIndex;
   now_ = when;
-  base_ps_ = (when.ps() >> kBucketShift) << kBucketShift;
+  base_ps_ = window_of(when.ps());
 }
 
 }  // namespace rsf::sim

@@ -9,6 +9,7 @@
 // the assertion covers only the bracketed drain.
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -125,6 +126,60 @@ TEST(SimAllocGuardTest, CancelOfInlineEventIsAllocationFree) {
   EXPECT_EQ(g_allocations - allocs_before, 0u);
   EXPECT_EQ(g_deallocations - deallocs_before, 0u);
   EXPECT_EQ(fired, 0);
+}
+
+// The far-future path under guard: a chain whose delays cycle through
+// the ring, level 2 (10 us, 1 ms) and past it into the heap (6 ms),
+// plus a standing set of far events — some cancelled, so re-anchors
+// and heap pulls also reclaim tombstones.
+struct FarHop {
+  Simulator* sim;
+  int* remaining;
+
+  void operator()() {
+    static constexpr std::int64_t kDelaysNs[] = {50, 10'000, 1'000'000, 6'000'000};
+    if (--*remaining > 0) {
+      const std::int64_t delay = kDelaysNs[static_cast<std::size_t>(*remaining) % 4];
+      sim->schedule_after(SimTime::nanoseconds(static_cast<double>(delay)), *this);
+    }
+  }
+};
+static_assert(is_inline_event_v<FarHop>);
+
+void run_far_workload(Simulator& sim, int chain_events, int standing) {
+  int remaining = chain_events;
+  sim.schedule_after(SimTime::nanoseconds(1), FarHop{&sim, &remaining});
+  int standing_fired = 0;
+  int cancelled = 0;
+  for (int i = 0; i < standing; ++i) {
+    const SimTime delay = SimTime::microseconds(7.0 * (i + 1));  // spans both far tiers
+    const EventId id = sim.schedule_after(delay, CountTick{&standing_fired});
+    if (i % 3 == 0) cancelled += sim.cancel(id) ? 1 : 0;
+  }
+  sim.run_until(SimTime::infinity());
+  ASSERT_EQ(remaining, 0);
+  ASSERT_EQ(standing_fired + cancelled, standing);
+}
+
+TEST(SimAllocGuardTest, FarFutureScheduleAndReanchorAreAllocationFree) {
+  Simulator sim;
+  // Warm-up: the identical workload sizes the slab, the slot pool, the
+  // heap's key vector and the free lists.
+  run_far_workload(sim, 400, 1'000);
+  const Simulator::Stats warm = sim.stats();
+  ASSERT_GT(warm.reanchors, 0u);
+  ASSERT_GT(warm.heap_pushes, 0u);
+  ASSERT_GT(warm.tombstones_reclaimed, 0u);
+
+  const std::size_t allocs_before = g_allocations;
+  const std::size_t deallocs_before = g_deallocations;
+  run_far_workload(sim, 400, 1'000);
+  EXPECT_EQ(g_allocations - allocs_before, 0u) << "far-future path touched the heap";
+  EXPECT_EQ(g_deallocations - deallocs_before, 0u) << "far-future path freed to the heap";
+  // The measured run crossed every tier again.
+  EXPECT_GT(sim.stats().reanchors, warm.reanchors);
+  EXPECT_GT(sim.stats().heap_pushes, warm.heap_pushes);
+  EXPECT_GT(sim.stats().tombstones_reclaimed, warm.tombstones_reclaimed);
 }
 
 }  // namespace
