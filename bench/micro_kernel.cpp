@@ -5,7 +5,10 @@
 // pushes millions of events through these paths).
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "phy/fec.hpp"
+#include "phy/plant.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -96,6 +99,50 @@ void BM_FecFrameLoss(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FecFrameLoss);
+
+// The per-hop phy layer: one 2-lane RS(528,514) link at the grid's
+// default 1e-12 lane BER, as Network::hop drives it.
+struct TwoLaneKr4Link {
+  phy::PhysicalPlant plant;
+  phy::LinkId link = 0;
+  TwoLaneKr4Link() {
+    const phy::CableId cable =
+        plant.add_cable(0, 1, 2.0, phy::Medium::kFiber, 2, phy::DataRate::gbps(25));
+    link = plant.create_adjacent_link(cable, {0, 1}, phy::FecSpec::of(phy::FecScheme::kRsKr4));
+  }
+};
+
+// PLP #5 decoder-telemetry sampling of one 1 KB frame.
+void BM_AccountFrame(benchmark::State& state) {
+  TwoLaneKr4Link f;
+  sim::RandomStream rng(3, "micro.account_frame");
+  const auto frame = phy::DataSize::bytes(1024);
+  for (auto _ : state) {
+    f.plant.account_frame(f.link, frame, rng);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(f.plant.cable(0).lane(0).stats().corrected_codewords);
+}
+BENCHMARK(BM_AccountFrame);
+
+// LogicalLink's frame-loss memo under a flow mix: 1 KB packets
+// interleaved with partial last packets of random size.
+void BM_LinkFrameLossMixedSizes(benchmark::State& state) {
+  TwoLaneKr4Link f;
+  sim::RandomStream rng(5, "micro.frame_loss_mix");
+  std::vector<phy::DataSize> frames;
+  for (int i = 0; i < 1024; ++i) {
+    frames.push_back(i % 2 == 0 ? phy::DataSize::bytes(1024)
+                                : phy::DataSize::bytes(rng.uniform_int(1, 1023)));
+  }
+  const phy::LogicalLink& l = f.plant.link(f.link);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(l.frame_loss_prob(frames[i]));
+    i = (i + 1) % frames.size();
+  }
+}
+BENCHMARK(BM_LinkFrameLossMixedSizes);
 
 void BM_RouterDijkstra(benchmark::State& state) {
   runtime::RuntimeConfig cfg;

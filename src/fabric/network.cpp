@@ -144,8 +144,9 @@ void Network::hop(Packet pkt, phy::NodeId node, SimTime head_ready, SimTime tail
   }
   // A flow that owns a reserved circuit from here toward its
   // destination takes it unconditionally (the CRC built it for us).
+  // With no circuit reserved anywhere there is nothing to find.
   std::optional<phy::LinkId> link_opt;
-  if (pkt.flow != kNoFlow) {
+  if (pkt.flow != kNoFlow && plant_->reserved_link_count() != 0) {
     for (phy::LinkId id : topo_->links_at(node)) {
       if (!topo_->usable(id)) continue;
       const phy::LogicalLink& l = plant_->link(id);

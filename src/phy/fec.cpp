@@ -91,11 +91,9 @@ double FecSpec::frame_loss_prob(double ber, DataSize frame) const {
     // 1-(1-ber)^bits, stable for tiny ber via expm1.
     return std::clamp(-std::expm1(bits * std::log1p(-ber)), 0.0, 1.0);
   }
-  const double payload_bits_per_cw = static_cast<double>(k * symbol_bits);
-  const double codewords = std::ceil(static_cast<double>(frame.bit_count()) / payload_bits_per_cw);
   const double cw_err = codeword_error_prob(ber);
   if (cw_err <= 0.0) return 0.0;
-  return std::clamp(-std::expm1(codewords * std::log1p(-cw_err)), 0.0, 1.0);
+  return std::clamp(-std::expm1(codewords(frame) * std::log1p(-cw_err)), 0.0, 1.0);
 }
 
 double FecSpec::post_fec_ber(double ber) const {

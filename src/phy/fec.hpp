@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <string_view>
 
 #include "phy/units.hpp"
@@ -55,6 +56,14 @@ struct FecSpec {
   /// Probability an n-symbol codeword is uncorrectable at lane
   /// bit-error-rate `ber`.
   [[nodiscard]] double codeword_error_prob(double ber) const;
+
+  /// Codewords a frame of `frame` payload bits occupies (coded modes
+  /// only): ceil(bits / (k * symbol_bits)). A coded frame_loss_prob
+  /// depends on the frame only through this count.
+  [[nodiscard]] double codewords(DataSize frame) const {
+    return std::ceil(static_cast<double>(frame.bit_count()) /
+                     static_cast<double>(k * symbol_bits));
+  }
 
   /// Probability a frame of `frame` payload bits is delivered with an
   /// uncorrected error (and therefore dropped / retransmitted).

@@ -7,6 +7,8 @@
 // operate at this granularity.
 #pragma once
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <string_view>
 
@@ -86,6 +88,35 @@ class Lane {
   [[nodiscard]] const LaneStats& stats() const { return stats_; }
   LaneStats& mutable_stats() { return stats_; }
 
+  // --- Decoder-telemetry sampling inputs (PLP #5), memoized ---
+  //
+  // PhysicalPlant::account_frame draws a corrected-codeword count per
+  // lane per frame, and its inputs repeat frame after frame. Each memo
+  // returns exactly the double its expression returns. The BER stays
+  // in the symbol-error key because set_pre_fec_ber() notifies nobody.
+
+  /// Symbol error rate 1 - (1 - ber)^symbol_bits at the current BER.
+  [[nodiscard]] double symbol_error_prob(int symbol_bits) const {
+    if (sym_memo_.ber != pre_fec_ber_ || sym_memo_.symbol_bits != symbol_bits) {
+      sym_memo_ = SymbolMemo{pre_fec_ber_, symbol_bits,
+                             1.0 - std::pow(1.0 - pre_fec_ber_, symbol_bits)};
+    }
+    return sym_memo_.p_sym;
+  }
+
+  /// exp(-mean): the Knuth Poisson limit of a corrected-codeword draw
+  /// (RandomStream::poisson(mean, exp_neg_mean)). Two entries: a full
+  /// frame's mean and a partial last frame's.
+  [[nodiscard]] double exp_neg(double mean) const {
+    for (const ExpMemo& m : exp_memo_) {
+      if (m.mean == mean) return m.value;
+    }
+    ExpMemo& slot = exp_memo_[exp_memo_next_];
+    exp_memo_next_ ^= 1U;
+    slot = ExpMemo{mean, std::exp(-mean)};
+    return slot.value;
+  }
+
  private:
   DataRate rate_;
   LanePowerParams power_;
@@ -93,6 +124,20 @@ class Lane {
   LaneState state_ = LaneState::kOff;
   bool failed_ = false;
   LaneStats stats_;
+
+  // Default entries are valid: 1 - (1 - 0)^0 == 0 and exp(-0) == 1.
+  struct SymbolMemo {
+    double ber = 0.0;
+    int symbol_bits = 0;
+    double p_sym = 0.0;
+  };
+  struct ExpMemo {
+    double mean = 0.0;
+    double value = 1.0;
+  };
+  mutable SymbolMemo sym_memo_{};
+  mutable std::array<ExpMemo, 2> exp_memo_{};
+  mutable unsigned exp_memo_next_ = 0;
 };
 
 }  // namespace rsf::phy

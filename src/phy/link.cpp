@@ -70,8 +70,9 @@ double LogicalLink::frame_loss_prob(DataSize frame) const {
   // segment loses it. Segments share the FEC config, so combine the
   // per-segment loss probabilities (worst-lane BER per segment).
   // The FEC tail sum is expensive (lgamma loop) and its inputs repeat
-  // hop after hop, so memoize it per (ber, frame) — a fresh BER simply
-  // misses the memo.
+  // hop after hop, so memoize it per (segment BER, loss_units(frame)) —
+  // a fresh BER simply misses the memo.
+  const double units = loss_units(frame);
   double survive = 1.0;
   for (const LinkSegment& seg : segments_) {
     const Cable& c = plant_->cable(seg.cable);
@@ -79,14 +80,14 @@ double LogicalLink::frame_loss_prob(DataSize frame) const {
     for (int lane : seg.lanes) seg_ber = std::max(seg_ber, c.lane(lane).pre_fec_ber());
     double seg_loss = -1.0;
     for (const LossMemo& m : loss_memo_) {
-      if (m.frame_bits == frame.bit_count() && m.ber == seg_ber) {
+      if (m.units == units && m.ber == seg_ber) {
         seg_loss = m.loss;
         break;
       }
     }
     if (seg_loss < 0.0) {
       seg_loss = fec_.frame_loss_prob(seg_ber, frame);
-      loss_memo_[loss_memo_next_] = LossMemo{seg_ber, frame.bit_count(), seg_loss};
+      loss_memo_[loss_memo_next_] = LossMemo{seg_ber, units, seg_loss};
       loss_memo_next_ = (loss_memo_next_ + 1) % loss_memo_.size();
     }
     survive *= 1.0 - seg_loss;
@@ -94,7 +95,11 @@ double LogicalLink::frame_loss_prob(DataSize frame) const {
   return 1.0 - survive;
 }
 
-double LogicalLink::post_fec_ber() const { return fec_.post_fec_ber(worst_pre_fec_ber()); }
+double LogicalLink::post_fec_ber() const {
+  const double ber = worst_pre_fec_ber();
+  if (post_fec_memo_.ber != ber) post_fec_memo_ = PostFecMemo{ber, fec_.post_fec_ber(ber)};
+  return post_fec_memo_.post;
+}
 
 double LogicalLink::power_watts() const {
   double w = 0.0;

@@ -115,6 +115,7 @@ class LogicalLink {
   void invalidate_fec_caches() {
     eff_rate_valid_ = false;
     loss_memo_.fill(LossMemo{});
+    post_fec_memo_ = PostFecMemo{};
   }
 
   const PhysicalPlant* plant_;
@@ -126,21 +127,37 @@ class LogicalLink {
 
   // Derived-metric caches: these sit on the per-packet hop path, where
   // recomputing (lane loops, lgamma-based FEC tail sums) dominated the
-  // event loop. BER is part of the loss-memo key, so out-of-band BER
-  // changes miss the memo instead of reading stale values.
+  // event loop. The FEC memos key on BER because Lane::set_pre_fec_ber
+  // is public and notifies nobody: an out-of-band BER change misses
+  // the memo instead of reading a stale value.
   mutable bool raw_rate_valid_ = false;
   mutable DataRate raw_rate_cache_ = DataRate::zero();
   mutable bool prop_valid_ = false;
   mutable rsf::sim::SimTime prop_cache_ = rsf::sim::SimTime::zero();
   mutable bool eff_rate_valid_ = false;
   mutable DataRate eff_rate_cache_ = DataRate::zero();
+  /// Per-segment frame loss keyed on (segment BER, loss_units). The
+  /// units are what FecSpec::frame_loss_prob reads of the frame: the
+  /// codeword count on coded links (a partial last packet shares the
+  /// full packets' entry whenever it fills as many codewords), the
+  /// frame bits on uncoded ones.
   struct LossMemo {
     double ber = -1.0;
-    std::int64_t frame_bits = -1;
+    double units = -1.0;
     double loss = 0.0;
   };
+  [[nodiscard]] double loss_units(DataSize frame) const {
+    return fec_.n == 0 ? static_cast<double>(frame.bit_count()) : fec_.codewords(frame);
+  }
   mutable std::array<LossMemo, 4> loss_memo_{};
   mutable unsigned loss_memo_next_ = 0;
+  /// post_fec_ber() keyed on the worst-lane BER (CRC epochs ask for
+  /// every link every epoch).
+  struct PostFecMemo {
+    double ber = -1.0;
+    double post = 0.0;
+  };
+  mutable PostFecMemo post_fec_memo_{};
   /// -1 unknown, else 0/1. See ready().
   mutable std::int8_t ready_cache_ = -1;
 };

@@ -117,6 +117,7 @@ LinkId PhysicalPlant::create_adjacent_link(CableId cable_id, std::vector<int> la
 
 void PhysicalPlant::destroy_link(LinkId id) {
   if (!has_link(id)) throw std::invalid_argument("destroy_link: unknown link");
+  if (links_[id]->reserved_for_) --reserved_link_count_;
   release_lanes(links_[id]->segments());
   links_[id].reset();
   --link_count_;
@@ -302,6 +303,8 @@ void PhysicalPlant::set_fec(LinkId id, FecSpec fec) {
 void PhysicalPlant::set_reservation(LinkId id, std::optional<std::uint64_t> flow) {
   LogicalLink& l = mutable_link(id);
   if (l.reserved_for_ == flow) return;
+  if (!l.reserved_for_) ++reserved_link_count_;
+  if (!flow) --reserved_link_count_;
   l.reserved_for_ = flow;
   // Reservations change what public routing may use without changing
   // the link set: notify, so topology versions bump and memoized
@@ -309,36 +312,30 @@ void PhysicalPlant::set_reservation(LinkId id, std::optional<std::uint64_t> flow
   for (const auto& obs : change_observers_) obs();
 }
 
-void PhysicalPlant::account_bits(LinkId id, std::int64_t bits) {
-  LogicalLink& l = mutable_link(id);
+void PhysicalPlant::account_frame(LinkId id, DataSize frame, rsf::sim::RandomStream& rng) {
+  // Bits and the decoder draw in one lane walk: this runs on every
+  // simulated hop.
+  const LogicalLink& l = link(id);
   const int lanes = l.lane_count();
+  const std::int64_t bits = frame.bit_count();
   if (lanes == 0 || bits <= 0) return;
   const auto per_lane = static_cast<std::uint64_t>(bits / lanes);
-  for_each_lane(l, [per_lane](Lane& lane) { lane.mutable_stats().bits_carried += per_lane; });
-}
-
-void PhysicalPlant::account_frame(LinkId id, DataSize frame, rsf::sim::RandomStream& rng) {
-  LogicalLink& l = mutable_link(id);
-  const int lanes = l.lane_count();
-  if (lanes == 0 || frame.bit_count() <= 0) return;
   const FecSpec& fec = l.fec();
-  account_bits(id, frame.bit_count());
-  if (fec.n == 0) return;  // uncoded: no decoder telemetry
-  // Codewords per frame, striped across lanes.
-  const double payload_per_cw = static_cast<double>(fec.k * fec.symbol_bits);
-  const double cw_total = std::ceil(static_cast<double>(frame.bit_count()) / payload_per_cw);
+  // Codeword symbols per lane: codewords per frame, striped across
+  // lanes. Uncoded links have no decoder telemetry.
+  const bool coded = fec.n != 0;
+  const double symbols_per_lane = coded ? fec.codewords(frame) / lanes * fec.n : 0.0;
   for (const LinkSegment& seg : l.segments()) {
     Cable& c = cable(seg.cable);
     for (int lane_idx : seg.lanes) {
       Lane& lane = c.lane(lane_idx);
-      const double ber = lane.pre_fec_ber();
-      if (ber <= 0) continue;
+      lane.mutable_stats().bits_carried += per_lane;
+      if (!coded || lane.pre_fec_ber() <= 0) continue;
       // Mean corrected codewords on this lane: its share of codeword
       // symbols times the symbol error rate (small-p approximation:
       // one corrected codeword per symbol error).
-      const double p_sym = 1.0 - std::pow(1.0 - ber, fec.symbol_bits);
-      const double mean = cw_total / lanes * fec.n * p_sym;
-      lane.mutable_stats().corrected_codewords += rng.poisson(mean);
+      const double mean = symbols_per_lane * lane.symbol_error_prob(fec.symbol_bits);
+      lane.mutable_stats().corrected_codewords += rng.poisson(mean, lane.exp_neg(mean));
     }
   }
 }

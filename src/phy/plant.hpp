@@ -129,16 +129,17 @@ class PhysicalPlant {
   /// LogicalLink::reserved_for. An effective change notifies the
   /// change observers (routing caches key on the topology version).
   void set_reservation(LinkId id, std::optional<std::uint64_t> flow);
+  /// Live links currently reserved. Network::hop skips its reserved-
+  /// circuit scan while this is zero.
+  [[nodiscard]] std::size_t reserved_link_count() const { return reserved_link_count_; }
 
   // --- PLP #5: statistics ---
 
-  /// Account `bits` carried by every member lane (split evenly).
-  void account_bits(LinkId id, std::int64_t bits);
-
-  /// Account one frame crossing the link *and* sample the FEC decoder
-  /// telemetry real transceivers expose: the number of corrected
-  /// codewords, drawn per lane from the lane's true BER. Feeds the
-  /// pre-FEC BER estimator below (PLP #5).
+  /// Account one frame crossing the link: its bits are split evenly
+  /// over the member lanes of every segment. Also sample the FEC
+  /// decoder telemetry real transceivers expose: the number of
+  /// corrected codewords, drawn per lane from the lane's true BER.
+  /// Feeds the pre-FEC BER estimator below (PLP #5).
   void account_frame(LinkId id, DataSize frame, rsf::sim::RandomStream& rng);
 
   /// Pre-FEC BER of the link as *estimated from decoder telemetry*
@@ -205,6 +206,7 @@ class PhysicalPlant {
   // skips them (and stays sorted for deterministic iteration).
   std::vector<std::unique_ptr<LogicalLink>> links_;
   std::size_t link_count_ = 0;
+  std::size_t reserved_link_count_ = 0;
   // rsf-lint: order-insensitive(point lookups only — lane_owner()/free_lanes() probe by key, never iterate)
   std::unordered_map<LaneRef, LinkId> lane_owner_;
   LinkId next_link_id_ = 0;

@@ -111,17 +111,18 @@ double RandomStream::bounded_pareto(double alpha, double lo, double hi) {
   return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
 }
 
-std::uint64_t RandomStream::poisson(double mean) {
+std::uint64_t RandomStream::poisson(double mean) { return poisson(mean, std::exp(-mean)); }
+
+std::uint64_t RandomStream::poisson(double mean, double exp_neg_mean) {
   if (mean < 0) throw std::invalid_argument("poisson: mean must be >= 0");
   if (mean == 0) return 0;
   if (mean > 64.0) {
     const double v = normal(mean, std::sqrt(mean));
     return v <= 0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
   }
-  const double limit = std::exp(-mean);
   double product = uniform();
   std::uint64_t count = 0;
-  while (product > limit) {
+  while (product > exp_neg_mean) {
     ++count;
     product *= uniform();
   }

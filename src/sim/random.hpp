@@ -49,6 +49,9 @@ class RandomStream {
   /// Poisson-distributed count with the given mean (Knuth for small
   /// means, normal approximation above 64).
   std::uint64_t poisson(double mean);
+  /// poisson(mean) for a caller that already holds exp(-mean) (the
+  /// Knuth limit); draws exactly what poisson(mean) draws.
+  std::uint64_t poisson(double mean, double exp_neg_mean);
 
   /// Derive an independent child stream; used to hand sub-components
   /// their own streams without threading the experiment seed around.

@@ -217,6 +217,68 @@ TEST_F(NetFixture, PacketsWaitOutReconfigurationWindow) {
   EXPECT_FALSE(result->failed);
 }
 
+TEST_F(NetFixture, CircuitReservedMidFlowIsTakenThenRoutingResumes) {
+  // Two parallel one-lane links between 0 and 1: the router picks one,
+  // the other becomes the flow's private circuit for a while.
+  std::optional<plp::PlpResult> split;
+  rack.engine->submit(plp::SplitCommand{*rack.topology->link_between(0, 1), 1},
+                      [&](const plp::PlpResult& r) { split = r; });
+  sim.run_until();
+  ASSERT_TRUE(split.has_value() && split->ok);
+  ASSERT_EQ(split->created.size(), 2u);
+  const LinkId routed = *rack.router->next_hop(0, 1);
+  const LinkId circuit =
+      split->created[0] == routed ? split->created[1] : split->created[0];
+  ASSERT_TRUE(rack.topology->usable(circuit));
+  phy::PhysicalPlant& plant = *rack.plant;
+  ASSERT_EQ(plant.reserved_link_count(), 0u);
+
+  FlowSpec spec;
+  spec.id = 9;
+  spec.src = 0;
+  spec.dst = 1;
+  spec.size = DataSize::megabytes(1);
+  std::optional<FlowResult> result;
+  const SimTime t0 = sim.now();
+  rack.network->start_flow(spec, [&](const FlowResult& r) { result = r; });
+
+  std::uint64_t routed_at_reserve = 0;
+  sim.schedule_at(t0 + 30_us, [&] {
+    EXPECT_EQ(rack.network->link_packets(circuit), 0u);
+    routed_at_reserve = rack.network->link_packets(routed);
+    EXPECT_GT(routed_at_reserve, 0u);
+    plant.set_reservation(circuit, spec.id);
+    EXPECT_EQ(plant.reserved_link_count(), 1u);
+  });
+  std::optional<LinkId> after_clear;
+  std::uint64_t routed_at_clear = 0;
+  std::uint64_t circuit_at_clear = 0;
+  sim.schedule_at(t0 + 80_us, [&] {
+    // Every hop decided since the reservation took the circuit.
+    routed_at_clear = rack.network->link_packets(routed);
+    circuit_at_clear = rack.network->link_packets(circuit);
+    EXPECT_EQ(routed_at_clear, routed_at_reserve);
+    EXPECT_GT(circuit_at_clear, 0u);
+    plant.set_reservation(circuit, std::nullopt);
+    EXPECT_EQ(plant.reserved_link_count(), 0u);
+    after_clear = rack.router->next_hop(0, 1);
+  });
+  sim.run_until();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->failed);
+  // Cleared: the rest of the flow follows public routing.
+  ASSERT_TRUE(after_clear.has_value());
+  const std::uint64_t routed_after = rack.network->link_packets(routed) - routed_at_clear;
+  const std::uint64_t circuit_after = rack.network->link_packets(circuit) - circuit_at_clear;
+  if (*after_clear == routed) {
+    EXPECT_GT(routed_after, 0u);
+    EXPECT_EQ(circuit_after, 0u);
+  } else {
+    EXPECT_EQ(routed_after, 0u);
+    EXPECT_GT(circuit_after, 0u);
+  }
+}
+
 TEST_F(NetFixture, LinkUsageStatsAccumulate) {
   FlowSpec spec;
   spec.id = 6;

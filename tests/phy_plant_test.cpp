@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "sim/random.hpp"
 
 namespace rsf::phy {
@@ -269,10 +275,11 @@ TEST(Plant, SetFecChangesLinkModel) {
   EXPECT_LT(f.plant.link(id).effective_rate().gbps_value(), raw);
 }
 
-TEST(Plant, AccountBitsSpreadsAcrossLanes) {
+TEST(Plant, AccountFrameSpreadsBitsAcrossLanes) {
   ChainFixture f;
   const LinkId id = f.plant.create_adjacent_link(f.c01, {0, 1});
-  f.plant.account_bits(id, 1000);
+  rsf::sim::RandomStream rng(1);
+  f.plant.account_frame(id, DataSize::bits(1000), rng);
   EXPECT_EQ(f.plant.cable(f.c01).lane(0).stats().bits_carried, 500u);
   EXPECT_EQ(f.plant.cable(f.c01).lane(1).stats().bits_carried, 500u);
   EXPECT_EQ(f.plant.cable(f.c01).lane(2).stats().bits_carried, 0u);
@@ -363,6 +370,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Property test: random op sequences keep invariants ---
 
+/// Interior joints of a multi-segment link, in path order.
+std::vector<NodeId> interior_joints(const PhysicalPlant& plant, LinkId id) {
+  std::vector<NodeId> out;
+  const LogicalLink& l = plant.link(id);
+  NodeId cursor = l.end_a();
+  for (std::size_t i = 0; i + 1 < l.segments().size(); ++i) {
+    cursor = plant.cable(l.segments()[i].cable).other_end(cursor);
+    out.push_back(cursor);
+  }
+  return out;
+}
+
 TEST(PlantProperty, RandomOpSequencePreservesInvariants) {
   rsf::sim::RandomStream rng(2024, "plant-fuzz");
   for (int trial = 0; trial < 20; ++trial) {
@@ -413,16 +432,7 @@ TEST(PlantProperty, RandomOpSequencePreservesInvariants) {
             break;
           }
           case 3: {
-            const auto joints = [&] {
-              std::vector<NodeId> out;
-              const LogicalLink& l = plant.link(pick);
-              NodeId cursor = l.end_a();
-              for (std::size_t i = 0; i + 1 < l.segments().size(); ++i) {
-                cursor = plant.cable(l.segments()[i].cable).other_end(cursor);
-                out.push_back(cursor);
-              }
-              return out;
-            }();
+            const std::vector<NodeId> joints = interior_joints(plant, pick);
             if (!joints.empty()) {
               plant.bypass_sever(pick, joints[static_cast<std::size_t>(rng.uniform_int(
                                            0, static_cast<std::int64_t>(joints.size()) - 1))]);
@@ -445,6 +455,376 @@ TEST(PlantProperty, RandomOpSequencePreservesInvariants) {
     }
     EXPECT_LE(owned, 24);
   }
+}
+
+// --- Per-hop memos: every cached value equals its uncached expression ---
+
+/// LogicalLink::frame_loss_prob recomputed without the memo.
+double uncached_frame_loss(const PhysicalPlant& plant, const LogicalLink& l, DataSize frame) {
+  double survive = 1.0;
+  for (const LinkSegment& seg : l.segments()) {
+    double seg_ber = 0.0;
+    for (int lane : seg.lanes) {
+      seg_ber = std::max(seg_ber, plant.cable(seg.cable).lane(lane).pre_fec_ber());
+    }
+    survive *= 1.0 - l.fec().frame_loss_prob(seg_ber, frame);
+  }
+  return 1.0 - survive;
+}
+
+/// Frame sizes in bits from 1 B to 9 KB, plus every codeword edge
+/// +-1 bit of every coded scheme in that range.
+std::vector<std::int64_t> memo_frame_bits() {
+  std::vector<std::int64_t> bits;
+  for (std::int64_t bytes : {1, 2, 63, 64, 65, 512, 1000, 1023, 1024, 1025, 1500, 4096, 8191,
+                             9000, 9216}) {
+    bits.push_back(bytes * 8);
+  }
+  for (FecScheme s : kAllFecSchemes) {
+    const FecSpec spec = FecSpec::of(s);
+    if (spec.n == 0) continue;
+    const std::int64_t cw = static_cast<std::int64_t>(spec.k) * spec.symbol_bits;
+    for (std::int64_t edge = cw; edge <= 9216 * 8; edge += cw) {
+      for (std::int64_t d : {-1, 0, 1}) bits.push_back(edge + d);
+    }
+  }
+  return bits;
+}
+
+TEST(LinkMemo, FrameLossAndPostFecEqualUncachedExpressions) {
+  const std::vector<std::int64_t> frames = memo_frame_bits();
+  const double bers[] = {0.0, 1e-15, 1e-12, 1e-8, 1e-4};
+  rsf::sim::RandomStream order(11, "memo-order");
+  for (FecScheme s : kAllFecSchemes) {
+    ChainFixture f;
+    const FecSpec spec = FecSpec::of(s);
+    const LinkId single = f.plant.create_adjacent_link(f.c01, {0, 1}, spec);
+    const LinkId a = f.plant.create_adjacent_link(f.c12, {0, 1}, spec);
+    const LinkId b = f.plant.create_adjacent_link(f.c23, {0, 1}, spec);
+    const LinkId joined = f.plant.bypass_join(a, b);  // segments over c12, c23
+    for (double ber_1 : bers) {
+      for (double ber_2 : bers) {
+        f.plant.set_cable_ber(f.c01, ber_1);
+        f.plant.set_cable_ber(f.c12, ber_1);
+        f.plant.set_cable_ber(f.c23, ber_2);
+        // Random order with repeats: misses, hits and evictions mix.
+        for (std::size_t i = 0; i < 2 * frames.size(); ++i) {
+          const auto pick = order.uniform_int(0, static_cast<std::int64_t>(frames.size()) - 1);
+          const DataSize frame = DataSize::bits(frames[static_cast<std::size_t>(pick)]);
+          for (LinkId id : {single, joined}) {
+            const LogicalLink& l = f.plant.link(id);
+            ASSERT_EQ(l.frame_loss_prob(frame), uncached_frame_loss(f.plant, l, frame))
+                << to_string(s) << " link " << id << " bits " << frame.bit_count()
+                << " ber " << ber_1 << "/" << ber_2;
+          }
+        }
+        for (LinkId id : {single, joined}) {
+          const LogicalLink& l = f.plant.link(id);
+          ASSERT_EQ(l.post_fec_ber(), spec.post_fec_ber(l.worst_pre_fec_ber()))
+              << to_string(s) << " link " << id << " ber " << ber_1 << "/" << ber_2;
+        }
+      }
+    }
+  }
+}
+
+TEST(LinkMemo, LaneBerChangedBehindThePlantMissesTheMemo) {
+  ChainFixture f;
+  const LinkId id =
+      f.plant.create_adjacent_link(f.c01, {0, 1}, FecSpec::of(FecScheme::kRsKr4));
+  f.plant.set_cable_ber(f.c01, 1e-8);
+  const LogicalLink& l = f.plant.link(id);
+  const DataSize frame = DataSize::bytes(1024);
+  const double loss_before = l.frame_loss_prob(frame);
+  const double post_before = l.post_fec_ber();
+  // One lane, directly: Lane::set_pre_fec_ber notifies nobody.
+  f.plant.cable(f.c01).lane(1).set_pre_fec_ber(1e-4);
+  EXPECT_EQ(l.frame_loss_prob(frame), uncached_frame_loss(f.plant, l, frame));
+  EXPECT_NE(l.frame_loss_prob(frame), loss_before);
+  EXPECT_EQ(l.post_fec_ber(), l.fec().post_fec_ber(1e-4));
+  EXPECT_NE(l.post_fec_ber(), post_before);
+}
+
+TEST(LinkMemo, SetFecClearsTheMemos) {
+  ChainFixture f;
+  const LinkId id =
+      f.plant.create_adjacent_link(f.c01, {0, 1}, FecSpec::of(FecScheme::kRsKr4));
+  f.plant.set_cable_ber(f.c01, 1e-5);
+  const LogicalLink& l = f.plant.link(id);
+  const DataSize frame = DataSize::bytes(1024);
+  const double kr4_loss = l.frame_loss_prob(frame);
+  const double kr4_post = l.post_fec_ber();
+  // Same codeword geometry, weaker correction: the memo key is
+  // unchanged, so only the invalidation can expose the new t.
+  FecSpec weaker = FecSpec::of(FecScheme::kRsKr4);
+  weaker.t = 2;
+  f.plant.set_fec(id, weaker);
+  EXPECT_EQ(l.frame_loss_prob(frame), uncached_frame_loss(f.plant, l, frame));
+  EXPECT_GT(l.frame_loss_prob(frame), kr4_loss);
+  EXPECT_EQ(l.post_fec_ber(), weaker.post_fec_ber(1e-5));
+  EXPECT_GT(l.post_fec_ber(), kr4_post);
+  // Uncoded: the key switches from codewords to frame bits.
+  f.plant.set_fec(id, FecSpec::of(FecScheme::kNone));
+  EXPECT_EQ(l.frame_loss_prob(frame), uncached_frame_loss(f.plant, l, frame));
+  EXPECT_EQ(l.post_fec_ber(), 1e-5);
+}
+
+// --- account_frame: the memoized fast path against the pre-memo body ---
+
+/// PhysicalPlant::account_frame as it was before the per-lane memos
+/// and the single lane walk (its account_bits step inlined). The fast
+/// path must match it draw for draw.
+void reference_account_frame(PhysicalPlant& plant, LinkId id, DataSize frame,
+                             rsf::sim::RandomStream& rng) {
+  const LogicalLink& l = plant.link(id);
+  const int lanes = l.lane_count();
+  if (lanes == 0 || frame.bit_count() <= 0) return;
+  const FecSpec& fec = l.fec();
+  const auto per_lane = static_cast<std::uint64_t>(frame.bit_count() / lanes);
+  for (const LinkSegment& seg : l.segments()) {
+    for (int lane : seg.lanes) {
+      plant.cable(seg.cable).lane(lane).mutable_stats().bits_carried += per_lane;
+    }
+  }
+  if (fec.n == 0) return;
+  const double payload_per_cw = static_cast<double>(fec.k * fec.symbol_bits);
+  const double cw_total = std::ceil(static_cast<double>(frame.bit_count()) / payload_per_cw);
+  for (const LinkSegment& seg : l.segments()) {
+    Cable& c = plant.cable(seg.cable);
+    for (int lane_idx : seg.lanes) {
+      Lane& lane = c.lane(lane_idx);
+      const double ber = lane.pre_fec_ber();
+      if (ber <= 0) continue;
+      const double p_sym = 1.0 - std::pow(1.0 - ber, fec.symbol_bits);
+      const double mean = cw_total / lanes * fec.n * p_sym;
+      lane.mutable_stats().corrected_codewords += rng.poisson(mean);
+    }
+  }
+}
+
+/// A 6-node ring of 4-lane cables with 4-, 2+2- and 1+1+1+1-lane links.
+struct OracleSide {
+  PhysicalPlant plant;
+  std::vector<CableId> cables;
+  rsf::sim::RandomStream rng{99, "account-frame-oracle"};
+
+  OracleSide() {
+    for (int i = 0; i < 6; ++i) {
+      cables.push_back(plant.add_cable(static_cast<NodeId>(i),
+                                       static_cast<NodeId>((i + 1) % 6), 2.0,
+                                       Medium::kFiber, 4, DataRate::gbps(25), test_power()));
+    }
+    const FecSpec kr4 = FecSpec::of(FecScheme::kRsKr4);
+    for (int i = 0; i < 6; ++i) {
+      const CableId c = cables[static_cast<std::size_t>(i)];
+      switch (i % 3) {
+        case 0:
+          plant.create_adjacent_link(c, {0, 1, 2, 3}, kr4);
+          break;
+        case 1:
+          plant.create_adjacent_link(c, {0, 1}, kr4);
+          plant.create_adjacent_link(c, {2, 3}, kr4);
+          break;
+        default:
+          for (int lane = 0; lane < 4; ++lane) plant.create_adjacent_link(c, {lane}, kr4);
+          break;
+      }
+    }
+  }
+};
+
+TEST(AccountFrameOracle, MatchesPreMemoBodyDrawForDraw) {
+  OracleSide fast;
+  OracleSide ref;
+  rsf::sim::RandomStream picker(2026, "account-frame-ops");
+  const double bers[] = {0.0, 1e-12, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.3};
+  const auto pick_ber = [&] {
+    return bers[static_cast<std::size_t>(
+        picker.uniform_int(0, static_cast<std::int64_t>(std::size(bers)) - 1))];
+  };
+  const auto pick_index = [&](std::size_t n) {
+    return static_cast<std::size_t>(picker.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  // Each op is applied to both sides; structural ops that one side
+  // rejects the other must reject too.
+  const auto both = [&](auto&& op) {
+    bool fast_threw = false;
+    bool ref_threw = false;
+    try {
+      op(fast);
+    } catch (const std::invalid_argument&) {
+      fast_threw = true;
+    }
+    try {
+      op(ref);
+    } catch (const std::invalid_argument&) {
+      ref_threw = true;
+    }
+    ASSERT_EQ(fast_threw, ref_threw);
+  };
+  int frames_accounted = 0;
+  for (int op = 0; op < 1500; ++op) {
+    const std::vector<LinkId> ids = fast.plant.link_ids();
+    ASSERT_EQ(ids, ref.plant.link_ids());
+    ASSERT_FALSE(ids.empty());
+    const LinkId pick = ids[pick_index(ids.size())];
+    const int action = static_cast<int>(picker.uniform_int(0, 11));
+    if (action <= 4) {
+      // A frame: 1 KB, an arbitrary size up to 9 KB, or empty.
+      const int kind = static_cast<int>(picker.uniform_int(0, 9));
+      const DataSize frame = kind < 5    ? DataSize::bytes(1024)
+                             : kind < 9 ? DataSize::bits(picker.uniform_int(1, 9216 * 8))
+                                        : DataSize::zero();
+      fast.plant.account_frame(pick, frame, fast.rng);
+      reference_account_frame(ref.plant, pick, frame, ref.rng);
+      ++frames_accounted;
+    } else if (action == 5) {
+      const std::size_t c = pick_index(6);
+      const double ber = pick_ber();
+      both([&](OracleSide& s) { s.plant.set_cable_ber(s.cables[c], ber); });
+    } else if (action == 6) {
+      const std::size_t c = pick_index(6);
+      const int lane = static_cast<int>(picker.uniform_int(0, 3));
+      const double ber = pick_ber();
+      both([&](OracleSide& s) { s.plant.cable(s.cables[c]).lane(lane).set_pre_fec_ber(ber); });
+    } else if (action == 7) {
+      const FecScheme scheme = kAllFecSchemes[pick_index(kAllFecSchemes.size())];
+      both([&](OracleSide& s) { s.plant.set_fec(pick, FecSpec::of(scheme)); });
+    } else if (action == 8) {
+      const int lanes = fast.plant.link(pick).lane_count();
+      if (lanes >= 2) {
+        const int k = 1 + static_cast<int>(picker.uniform_int(0, lanes - 2));
+        both([&](OracleSide& s) { s.plant.split_link(pick, k); });
+      }
+    } else if (action == 9 || action == 10) {
+      const LinkId other = ids[pick_index(ids.size())];
+      if (action == 9) {
+        both([&](OracleSide& s) { s.plant.bundle_links(pick, other); });
+      } else {
+        both([&](OracleSide& s) { s.plant.bypass_join(pick, other); });
+      }
+    } else {
+      const std::vector<NodeId> joints = interior_joints(fast.plant, pick);
+      if (!joints.empty()) {
+        const NodeId at = joints[pick_index(joints.size())];
+        both([&](OracleSide& s) { s.plant.bypass_sever(pick, at); });
+      }
+    }
+    for (std::size_t c = 0; c < 6; ++c) {
+      for (int lane = 0; lane < 4; ++lane) {
+        const LaneStats& a = fast.plant.cable(fast.cables[c]).lane(lane).stats();
+        const LaneStats& b = ref.plant.cable(ref.cables[c]).lane(lane).stats();
+        ASSERT_EQ(a.bits_carried, b.bits_carried) << "op " << op << " cable " << c;
+        ASSERT_EQ(a.corrected_codewords, b.corrected_codewords) << "op " << op << " cable " << c;
+      }
+    }
+    rsf::sim::RandomStream next_fast = fast.rng;
+    rsf::sim::RandomStream next_ref = ref.rng;
+    ASSERT_EQ(next_fast(), next_ref()) << "op " << op;
+    ASSERT_EQ(next_fast.normal(0, 1), next_ref.normal(0, 1)) << "op " << op;
+  }
+  EXPECT_GT(frames_accounted, 500);
+  // The draws did happen: corrected codewords were sampled somewhere.
+  std::uint64_t corrected = 0;
+  for (CableId c : fast.cables) {
+    for (int lane = 0; lane < 4; ++lane) {
+      corrected += fast.plant.cable(c).lane(lane).stats().corrected_codewords;
+    }
+  }
+  EXPECT_GT(corrected, 0u);
+}
+
+// --- Reserved-link counter ---
+
+std::size_t brute_force_reserved(const PhysicalPlant& plant) {
+  std::size_t n = 0;
+  for (LinkId id : plant.link_ids()) {
+    if (plant.link(id).reserved_for().has_value()) ++n;
+  }
+  return n;
+}
+
+TEST(PlantProperty, ReservedLinkCountMatchesBruteForce) {
+  rsf::sim::RandomStream rng(77, "reservation-fuzz");
+  for (int trial = 0; trial < 10; ++trial) {
+    PhysicalPlant plant;
+    std::vector<CableId> cables;
+    for (int i = 0; i < 6; ++i) {
+      cables.push_back(plant.add_cable(static_cast<NodeId>(i),
+                                       static_cast<NodeId>((i + 1) % 6), 2.0,
+                                       Medium::kFiber, 4, DataRate::gbps(25), test_power()));
+    }
+    for (CableId c : cables) {
+      plant.create_adjacent_link(c, {0, 1});
+      plant.create_adjacent_link(c, {2, 3});
+    }
+    const auto pick_index = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    for (int op = 0; op < 200; ++op) {
+      const std::vector<LinkId> ids = plant.link_ids();
+      const int action = static_cast<int>(rng.uniform_int(0, 7));
+      if (ids.empty() || action == 7) {
+        // Re-provision a free lane pair so destroys don't drain the plant.
+        const CableId c = cables[pick_index(cables.size())];
+        const std::vector<int> free = plant.free_lanes(c);
+        if (!free.empty()) plant.create_adjacent_link(c, {free.front()});
+      } else {
+        const LinkId pick = ids[pick_index(ids.size())];
+        try {
+          switch (action) {
+            case 0:
+              plant.set_reservation(pick, static_cast<std::uint64_t>(rng.uniform_int(1, 3)));
+              break;
+            case 1:
+              plant.set_reservation(pick, std::nullopt);
+              break;
+            case 2:
+              plant.destroy_link(pick);
+              break;
+            case 3: {
+              const int lanes = plant.link(pick).lane_count();
+              if (lanes >= 2) plant.split_link(pick, 1);
+              break;
+            }
+            case 4:
+              plant.bundle_links(pick, ids[pick_index(ids.size())]);
+              break;
+            case 5:
+              plant.bypass_join(pick, ids[pick_index(ids.size())]);
+              break;
+            default: {
+              const std::vector<NodeId> joints = interior_joints(plant, pick);
+              if (!joints.empty()) plant.bypass_sever(pick, joints.front());
+              break;
+            }
+          }
+        } catch (const std::invalid_argument&) {
+          // A rejected op changes nothing; the count must agree anyway.
+        }
+      }
+      ASSERT_EQ(plant.reserved_link_count(), brute_force_reserved(plant))
+          << "trial " << trial << " op " << op;
+    }
+  }
+}
+
+TEST(Plant, ReservationCountFollowsSetClearAndStructuralOps) {
+  ChainFixture f;
+  const LinkId a = f.plant.create_adjacent_link(f.c01, {0, 1});
+  const LinkId b = f.plant.create_adjacent_link(f.c12, {0, 1});
+  EXPECT_EQ(f.plant.reserved_link_count(), 0u);
+  f.plant.set_reservation(a, 7);
+  f.plant.set_reservation(a, 8);  // re-owning is not a second reservation
+  EXPECT_EQ(f.plant.reserved_link_count(), 1u);
+  f.plant.set_reservation(b, 7);
+  EXPECT_EQ(f.plant.reserved_link_count(), 2u);
+  f.plant.set_reservation(b, std::nullopt);
+  f.plant.set_reservation(b, std::nullopt);
+  EXPECT_EQ(f.plant.reserved_link_count(), 1u);
+  // Successor links start unreserved.
+  f.plant.split_link(a, 1);
+  EXPECT_EQ(f.plant.reserved_link_count(), 0u);
 }
 
 }  // namespace

@@ -185,6 +185,21 @@ TEST(RandomStream, PoissonLargeMeanUsesNormalApprox) {
   EXPECT_NEAR(sum / n, 500.0, 2.0);
 }
 
+TEST(RandomStream, PoissonWithKnownLimitDrawsExactlyWhatPoissonDraws) {
+  // poisson(m, exp(-m)) is the form the per-lane decoder sampler uses
+  // with a memoized limit: same counts, same stream position, across
+  // the zero, Knuth and normal-approximation branches.
+  for (double m : {0.0, 1e-300, 1e-9, 0.5, 1.0, 63.999, 64.0, 64.001, 500.0}) {
+    RandomStream a(37, "poisson-limit");
+    RandomStream b(37, "poisson-limit");
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(a.poisson(m), b.poisson(m, std::exp(-m))) << "mean " << m << " draw " << i;
+    }
+    EXPECT_EQ(a(), b()) << "mean " << m;
+    EXPECT_EQ(a.normal(0, 1), b.normal(0, 1)) << "mean " << m;
+  }
+}
+
 TEST(RandomStream, ForkIsIndependentAndDeterministic) {
   RandomStream parent(31, "root");
   RandomStream c1 = parent.fork("child");
