@@ -160,6 +160,39 @@ void BM_RouterDijkstra(benchmark::State& state) {
 }
 BENCHMARK(BM_RouterDijkstra)->Arg(4)->Arg(8)->Arg(16);
 
+// One CRC epoch's routing work on the rsfbench rack (8x8 grid, 2-lane
+// links, CRC price routing on): the epoch's bump_prices() invalidates
+// every route, then traffic asks for next hops toward every
+// destination. items/s counts next_hop calls.
+void BM_RouterEpochRebuild(benchmark::State& state) {
+  runtime::RuntimeConfig cfg;
+  cfg.shape = runtime::RackShape::kGrid;
+  cfg.rack.width = 8;
+  cfg.rack.height = 8;
+  cfg.rack.lanes_per_cable = 2;
+  cfg.rack.lanes_per_link = 2;
+  runtime::FabricRuntime rt(cfg);
+  rt.start();
+  // Two epochs, so the price book holds real per-link prices.
+  rt.run_until(rt.now() + rt.controller().config().epoch * std::int64_t{2});
+  fabric::Router& router = rt.router();
+  const std::uint32_t n = rt.node_count();
+  std::uint64_t found = 0;
+  for (auto _ : state) {
+    router.bump_prices();
+    for (phy::NodeId at = 0; at < n; ++at) {
+      for (phy::NodeId dst = 0; dst < n; ++dst) {
+        if (at != dst && router.next_hop(at, dst)) ++found;
+      }
+    }
+  }
+  benchmark::DoNotOptimize(found);
+  state.SetItemsProcessed(state.iterations() * std::int64_t{n} * (n - 1));
+  rt.stop();
+  rt.run_until();
+}
+BENCHMARK(BM_RouterEpochRebuild);
+
 void BM_PacketTransportOneFlow(benchmark::State& state) {
   // The end-to-end hot path: one 256 KB flow corner to corner on a 4x4
   // grid. items/s is simulator events per second — the figure the

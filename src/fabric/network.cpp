@@ -1,6 +1,7 @@
 #include "fabric/network.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 
@@ -116,19 +117,43 @@ void Network::inject(Packet pkt, SimTime when) {
   sim_->schedule_at(ready, [this, pkt, ready] { hop(pkt, pkt.src, ready, ready); });
 }
 
-void Network::record_switched_bits(const Packet& pkt) {
-  // Dynamic switching energy is charged at the sending node's element
-  // (the source NIC for hop 0).
-  switched_bits_total_ += static_cast<std::uint64_t>(pkt.size.bit_count());
-  switched_bits_log_.emplace_back(sim_->now(), switched_bits_total_);
+void SwitchedBitsLog::record(SimTime now, std::uint64_t bits) {
+  total_ += bits;
+  log_.emplace_back(now, total_);
   // Age out entries older than the retention window so the log stays
   // bounded however long the run is.
-  const SimTime cutoff = sim_->now() - power_retention_;
-  while (!switched_bits_log_.empty() && switched_bits_log_.front().first < cutoff) {
-    switched_bits_pruned_ = switched_bits_log_.front().second;
-    switched_bits_pruned_time_ = switched_bits_log_.front().first;
-    switched_bits_log_.pop_front();
+  const SimTime cutoff = now - retention_;
+  while (!log_.empty() && log_.front().first < cutoff) {
+    pruned_ = log_.front().second;
+    pruned_time_ = log_.front().first;
+    log_.pop_front();
   }
+}
+
+SwitchedBitsLog::Window SwitchedBitsLog::window(SimTime now, SimTime span) const {
+  // Remember the widest window ever queried so the append-side pruning
+  // keeps enough log.
+  retention_ = std::max(retention_, span);
+  const SimTime from = now >= span ? now - span : SimTime::zero();
+  // A span wider than the retained history can only be answered for
+  // the covered span [pruned_time, now]: clamp the window start there
+  // and normalise by the covered duration, so the rate is exact over
+  // what was observed instead of silently under-counting. (Subsequent
+  // queries get full coverage — retention was widened above.)
+  const SimTime covered_from = std::max(from, pruned_time_);
+  // Baseline: cumulative bits at the last entry before the (covered)
+  // window starts. If every retained entry is inside the window the
+  // baseline is whatever was pruned off the front. The log is sorted
+  // by time, so a binary search finds that entry.
+  const auto first_inside = std::partition_point(
+      log_.begin(), log_.end(), [covered_from](const auto& e) { return e.first < covered_from; });
+  const std::uint64_t bits_before =
+      first_inside == log_.begin() ? pruned_ : std::prev(first_inside)->second;
+  Window out;
+  out.bits = static_cast<double>(total_ - bits_before);
+  out.seconds = covered_from > from ? std::max((now - covered_from).sec(), 1e-12)
+                                    : std::max(span.sec(), 1e-12);
+  return out;
 }
 
 void Network::hop(Packet pkt, phy::NodeId node, SimTime head_ready, SimTime tail_ready) {
@@ -202,7 +227,9 @@ void Network::hop(Packet pkt, phy::NodeId node, SimTime head_ready, SimTime tail
   // telemetry (corrected codewords) for the BER estimator.
   plant_->account_frame(link, pkt.size, rng_);
 
-  record_switched_bits(pkt);
+  // Dynamic switching energy is charged at the sending node's element
+  // (the source NIC for hop 0).
+  switched_bits_.record(sim_->now(), static_cast<std::uint64_t>(pkt.size.bit_count()));
 
   // Loss is decided per-link from the analytic FEC model.
   const double loss_p = l.frame_loss_prob(pkt.size);
@@ -401,30 +428,9 @@ double Network::switch_power_watts(SimTime window) const {
   // against the topology version; see switching_port_count).
   const double static_w =
       config_.switch_params.port_static_w * static_cast<double>(switching_port_count());
-  // Dynamic: bits switched in the trailing window. Remember the widest
-  // window ever queried so the append-side pruning keeps enough log.
-  power_retention_ = std::max(power_retention_, window);
-  const SimTime now = sim_->now();
-  const SimTime from = now >= window ? now - window : SimTime::zero();
-  // A window wider than the retained history can only be answered for
-  // the covered span [pruned_time, now]: clamp the window start there
-  // and normalise by the covered duration, so the rate is exact over
-  // what was observed instead of silently under-counting. (Subsequent
-  // queries get full coverage — retention was widened above.)
-  const SimTime covered_from = std::max(from, switched_bits_pruned_time_);
-  // Baseline: cumulative bits at the last entry before the (covered)
-  // window starts. If every retained entry is inside the window the
-  // baseline is whatever was pruned off the front.
-  std::uint64_t bits_before = switched_bits_pruned_;
-  for (const auto& [t, bits] : switched_bits_log_) {
-    if (t >= covered_from) break;
-    bits_before = bits;
-  }
-  const double bits_in_window = static_cast<double>(switched_bits_total_ - bits_before);
-  const double seconds = covered_from > from
-                             ? std::max((now - covered_from).sec(), 1e-12)
-                             : std::max(window.sec(), 1e-12);
-  const double dynamic_w = bits_in_window * config_.switch_params.pj_per_bit * 1e-12 / seconds;
+  // Dynamic: bits switched in the trailing window.
+  const SwitchedBitsLog::Window w = switched_bits_.window(sim_->now(), window);
+  const double dynamic_w = w.bits * config_.switch_params.pj_per_bit * 1e-12 / w.seconds;
   return static_w + dynamic_w;
 }
 

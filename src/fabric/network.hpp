@@ -50,6 +50,35 @@ struct SwitchParams {
   double pj_per_bit = 15.0;
 };
 
+/// The dynamic half of Network::switch_power_watts: a time-sorted log
+/// of (time, cumulative switched bits). It keeps only the trailing
+/// retention window, the widest window any query has asked for, and
+/// ages entries out on append, so it stays bounded over arbitrarily
+/// long runs.
+class SwitchedBitsLog {
+ public:
+  /// Append `bits` switched at `now`; `now` never decreases.
+  void record(rsf::sim::SimTime now, std::uint64_t bits);
+
+  /// Bits switched in the trailing `span` ending at `now`, and the
+  /// seconds to normalise them by. Widens the retention to `span`.
+  struct Window {
+    double bits = 0.0;
+    double seconds = 0.0;
+  };
+  [[nodiscard]] Window window(rsf::sim::SimTime now, rsf::sim::SimTime span) const;
+
+ private:
+  std::uint64_t total_ = 0;
+  std::deque<std::pair<rsf::sim::SimTime, std::uint64_t>> log_;
+  /// Cumulative bits (and timestamp) at the newest pruned entry: the
+  /// baseline for a query whose window spans the whole retained log,
+  /// and the start of the span the log actually covers.
+  std::uint64_t pruned_ = 0;
+  rsf::sim::SimTime pruned_time_ = rsf::sim::SimTime::zero();
+  mutable rsf::sim::SimTime retention_ = rsf::sim::SimTime::milliseconds(1);
+};
+
 struct NetworkConfig {
   SwitchParams switch_params;
   /// Max packets a flow keeps in flight (source backpressure window).
@@ -193,7 +222,6 @@ class Network {
     if (idx >= flows_.size() || flows_[idx].spec.id != pkt.flow) return nullptr;
     return &flows_[idx];
   }
-  void record_switched_bits(const Packet& pkt);
 
   /// A port is one cable end in switching use: every link has exactly
   /// two, so (link, side) indexes a dense pool with no hashing.
@@ -234,18 +262,8 @@ class Network {
   std::uint64_t flows_completed_ = 0;
   std::uint64_t flows_failed_ = 0;
 
-  // Sliding window accounting for dynamic switch power. The log keeps
-  // only the trailing retention window (the largest window any power
-  // query has asked for): entries age out on append, so the log stays
-  // bounded over arbitrarily long runs.
-  std::uint64_t switched_bits_total_ = 0;
-  std::deque<std::pair<rsf::sim::SimTime, std::uint64_t>> switched_bits_log_;
-  /// Cumulative bits (and timestamp) at the newest pruned entry: the
-  /// baseline for a query whose window spans the whole retained log,
-  /// and the start of the span the log actually covers.
-  std::uint64_t switched_bits_pruned_ = 0;
-  rsf::sim::SimTime switched_bits_pruned_time_ = rsf::sim::SimTime::zero();
-  mutable rsf::sim::SimTime power_retention_ = rsf::sim::SimTime::milliseconds(1);
+  // Sliding window accounting for dynamic switch power.
+  SwitchedBitsLog switched_bits_;
 
   // Static switching-end count, cached against the topology version
   // (0 = never computed; real versions start at 1). Lane-state and

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 namespace rsf::fabric {
@@ -16,7 +16,6 @@ constexpr auto kRefFrame = rsf::phy::DataSize::bytes(1024);
 
 Router::Router(const Topology* topo, RoutingPolicy policy) : topo_(topo), policy_(policy) {
   if (topo_ == nullptr) throw std::invalid_argument("Router: null topology");
-  tables_.resize(topo_->node_count());
 }
 
 void Router::set_policy(RoutingPolicy p) { policy_ = p; }
@@ -43,43 +42,94 @@ double Router::cost(phy::LinkId link) const {
   return default_cost(link);
 }
 
-Router::DistTable& Router::table_for(phy::NodeId dst) {
-  // Callers guarantee dst < node_count(); tables_ is sized to match at
-  // construction (node count is fixed for a rack's lifetime).
-  DistTable& t = tables_[dst];
-  if (t.topo_version == topo_->version() && t.price_generation == price_generation_ &&
-      !t.dist.empty()) {
-    return t;
+std::size_t Router::row_for(phy::NodeId dst) {
+  if (snap_topo_version_ != topo_->version() || snap_price_generation_ != price_generation_) {
+    build_arcs();
   }
-  const std::uint32_t n = topo_->node_count();
-  t.topo_version = topo_->version();
-  t.price_generation = price_generation_;
-  t.dist.assign(n, kUnreachable);
-  t.next.assign(n, kNextUnknown);
+  if (row_ready_[dst] == 0) build_row(dst);
+  return static_cast<std::size_t>(dst) * topo_->node_count();
+}
 
-  using Item = std::pair<double, phy::NodeId>;  // (dist, node)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  t.dist[dst] = 0.0;
-  pq.emplace(0.0, dst);
-  while (!pq.empty()) {
-    const auto [d, node] = pq.top();
-    pq.pop();
-    if (d > t.dist[node]) continue;
+void Router::build_arcs() {
+  const std::uint32_t n = topo_->node_count();
+  snap_topo_version_ = topo_->version();
+  snap_price_generation_ = price_generation_;
+  ++snap_builds_;
+  arc_begin_.assign(n + 1, 0);
+  arcs_.clear();
+  for (phy::NodeId node = 0; node < n; ++node) {
+    arc_begin_[node] = static_cast<std::uint32_t>(arcs_.size());
     for (phy::LinkId id : topo_->links_at(node)) {
-      if (!topo_->usable(id)) continue;
-      // Reserved links are private circuits, invisible to public
-      // routing (their owner takes them directly in the transport).
-      if (topo_->plant().link(id).reserved_for().has_value()) continue;
-      const phy::NodeId next = topo_->plant().link(id).other_end(node);
-      if (next >= n) continue;
-      const double nd = d + cost(id);
-      if (nd < t.dist[next]) {
-        t.dist[next] = nd;
-        pq.emplace(nd, next);
+      if (id >= link_price_.size()) link_price_.resize(static_cast<std::size_t>(id) + 1);
+      LinkPrice& lp = link_price_[id];
+      if (lp.build != snap_builds_) {
+        // Reserved links are private circuits, invisible to public
+        // routing (their owner takes them directly in the transport).
+        lp.build = snap_builds_;
+        lp.routable =
+            topo_->usable(id) && !topo_->plant().link(id).reserved_for().has_value();
+        if (lp.routable) lp.cost = cost(id);
+      }
+      if (!lp.routable) continue;
+      const phy::NodeId other = topo_->plant().link(id).other_end(node);
+      if (other >= n) continue;
+      arcs_.push_back(Arc{other, id, lp.cost});
+    }
+  }
+  arc_begin_[n] = static_cast<std::uint32_t>(arcs_.size());
+  row_ready_.assign(n, 0);
+  const std::size_t cells = static_cast<std::size_t>(n) * n;
+  if (dist_.size() != cells) {
+    dist_.resize(cells);
+    next_.resize(cells);
+  }
+}
+
+void Router::build_row(phy::NodeId dst) {
+  const std::uint32_t n = topo_->node_count();
+  double* dist = dist_.data() + static_cast<std::size_t>(dst) * n;
+  phy::LinkId* next = next_.data() + static_cast<std::size_t>(dst) * n;
+  std::fill(dist, dist + n, kUnreachable);
+
+  // Links are undirected and priced once, so the arcs out of a node
+  // double as the arcs into it: Dijkstra runs outward from dst.
+  using Item = std::pair<double, phy::NodeId>;  // (dist, node)
+  heap_.clear();
+  dist[dst] = 0.0;
+  heap_.emplace_back(0.0, dst);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<Item>{});
+    const auto [d, node] = heap_.back();
+    heap_.pop_back();
+    if (d > dist[node]) continue;
+    for (std::uint32_t a = arc_begin_[node]; a < arc_begin_[node + 1]; ++a) {
+      const Arc& arc = arcs_[a];
+      const double nd = d + arc.cost;
+      if (nd < dist[arc.to]) {
+        dist[arc.to] = nd;
+        heap_.emplace_back(nd, arc.to);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<Item>{});
       }
     }
   }
-  return t;
+
+  // Every node's next hop: the first arc, in links_at() order, that
+  // strictly minimises cost + remaining distance.
+  for (phy::NodeId at = 0; at < n; ++at) {
+    next[at] = kNextNone;
+    if (at == dst || dist[at] == kUnreachable) continue;
+    double best = kUnreachable;
+    for (std::uint32_t a = arc_begin_[at]; a < arc_begin_[at + 1]; ++a) {
+      const Arc& arc = arcs_[a];
+      if (dist[arc.to] == kUnreachable) continue;
+      const double through = arc.cost + dist[arc.to];
+      if (through < best) {
+        best = through;
+        next[at] = arc.link;
+      }
+    }
+  }
+  row_ready_[dst] = 1;
 }
 
 std::optional<phy::LinkId> Router::next_hop(phy::NodeId at, phy::NodeId dst) {
@@ -91,31 +141,12 @@ std::optional<phy::LinkId> Router::next_hop(phy::NodeId at, phy::NodeId dst) {
 }
 
 std::optional<phy::LinkId> Router::next_hop_min_cost(phy::NodeId at, phy::NodeId dst) {
-  if (dst >= tables_.size()) return std::nullopt;
-  DistTable& t = table_for(dst);
-  if (at >= t.dist.size() || t.dist[at] == kUnreachable) return std::nullopt;
-  // The per-(node, dst) argmin is memoized alongside dist and shares
-  // its validity: any topology-version bump (lane state, reconfig,
-  // reservations — set_reservation notifies the plant's observers) or
-  // price bump rebuilt the table above and reset next[] with it.
-  if (t.next[at] != kNextUnknown) {
-    return t.next[at] == kNextNone ? std::nullopt : std::optional(t.next[at]);
-  }
-  double best = kUnreachable;
-  std::optional<phy::LinkId> best_link;
-  for (phy::LinkId id : topo_->links_at(at)) {
-    if (!topo_->usable(id)) continue;
-    if (topo_->plant().link(id).reserved_for().has_value()) continue;
-    const phy::NodeId next = topo_->plant().link(id).other_end(at);
-    if (next >= t.dist.size() || t.dist[next] == kUnreachable) continue;
-    const double through = cost(id) + t.dist[next];
-    if (through < best) {
-      best = through;
-      best_link = id;
-    }
-  }
-  t.next[at] = best_link.value_or(kNextNone);
-  return best_link;
+  const std::uint32_t n = topo_->node_count();
+  if (dst >= n) return std::nullopt;
+  const std::size_t row = row_for(dst);
+  if (at >= n) return std::nullopt;
+  const phy::LinkId link = next_[row + at];
+  return link == kNextNone ? std::nullopt : std::optional(link);
 }
 
 namespace {
@@ -169,10 +200,11 @@ std::optional<phy::LinkId> Router::next_hop_dimension_order(phy::NodeId at,
 
 std::optional<double> Router::path_cost(phy::NodeId src, phy::NodeId dst) {
   if (src == dst) return 0.0;
-  if (dst >= tables_.size()) return std::nullopt;
-  const DistTable& t = table_for(dst);
-  if (src >= t.dist.size() || t.dist[src] == kUnreachable) return std::nullopt;
-  return t.dist[src];
+  const std::uint32_t n = topo_->node_count();
+  if (dst >= n) return std::nullopt;
+  const std::size_t row = row_for(dst);
+  if (src >= n || dist_[row + src] == kUnreachable) return std::nullopt;
+  return dist_[row + src];
 }
 
 std::vector<phy::LinkId> Router::path(phy::NodeId src, phy::NodeId dst) {

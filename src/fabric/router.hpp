@@ -11,10 +11,14 @@
 //  * kDimensionOrder — classic X-then-Y over grid/torus coordinates;
 //    the static baseline the paper's adaptive fabric is compared to.
 //
-// Distance tables are cached per destination and invalidated when the
-// topology version or the price generation changes.
+// Min-cost routing state is one snapshot per (topology version, price
+// generation): a CSR arc list of the usable, unreserved links priced
+// once each, plus destination rows (distance and next-hop link per
+// node) filled lazily from it. Either stamp changing rebuilds the arcs
+// and drops every row.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -69,36 +73,53 @@ class Router {
   }
 
  private:
-  struct DistTable {
-    std::uint64_t topo_version = 0;
-    std::uint64_t price_generation = 0;
-    // dist[node] = min cost node -> dst; kUnreachable if none.
-    std::vector<double> dist;
-    // next[node] = memoized argmin next link node -> dst, filled
-    // lazily by next_hop_min_cost (kNextUnknown until asked, kNextNone
-    // when no usable hop exists). Shares the table's validity stamps:
-    // topology-version bumps — including reservation changes, which
-    // notify the plant's change observers — and price-generation
-    // bumps reset it with dist.
-    std::vector<phy::LinkId> next;
+  /// One directed hop of the snapshot: from the owning node across
+  /// `link` to `to`, at the link's price.
+  struct Arc {
+    phy::NodeId to;
+    phy::LinkId link;
+    double cost;
   };
 
-  /// next[] sentinels. Real LinkIds are dense small integers; these
-  /// two top values can never be allocated.
-  static constexpr phy::LinkId kNextUnknown = phy::kInvalidLink;
-  static constexpr phy::LinkId kNextNone = phy::kInvalidLink - 1;
+  /// next_[] entry of a node with no usable hop toward the row's
+  /// destination. Real LinkIds are dense small integers; this top value
+  /// can never be allocated.
+  static constexpr phy::LinkId kNextNone = phy::kInvalidLink;
 
   [[nodiscard]] double cost(phy::LinkId link) const;
-  DistTable& table_for(phy::NodeId dst);
+  /// Offset of `dst`'s row in dist_/next_, built first if the snapshot
+  /// or the row is stale. Callers guarantee dst < node_count().
+  std::size_t row_for(phy::NodeId dst);
+  void build_arcs();
+  void build_row(phy::NodeId dst);
 
   const Topology* topo_;
   RoutingPolicy policy_;
   PriceFn price_fn_;
   std::uint64_t price_generation_ = 1;
   double hop_penalty_ns_ = 450.0;  // cut-through pipeline, see SwitchParams
-  // Destination-indexed (node ids are dense): the per-hop table lookup
-  // is a single vector index instead of a hash probe.
-  std::vector<DistTable> tables_;
+
+  // The snapshot. Storage is allocated by the first build, not by the
+  // constructor; node ids are dense and the node count is fixed for a
+  // rack's lifetime, so rows are flat n-sized slices.
+  std::uint64_t snap_topo_version_ = 0;
+  std::uint64_t snap_price_generation_ = 0;
+  std::vector<std::uint32_t> arc_begin_;  // node -> first arc; n + 1 entries
+  std::vector<Arc> arcs_;                 // per node in links_at() order
+  std::vector<std::uint8_t> row_ready_;   // per destination
+  std::vector<double> dist_;              // [dst * n + node] min cost node -> dst
+  std::vector<phy::LinkId> next_;         // [dst * n + node] argmin hop node -> dst
+  // Build scratch, reused: each link's routability and cost, evaluated
+  // once per snapshot (stamped with the build count), and the Dijkstra
+  // heap.
+  struct LinkPrice {
+    std::uint64_t build = 0;
+    bool routable = false;
+    double cost = 0.0;
+  };
+  std::uint64_t snap_builds_ = 0;
+  std::vector<LinkPrice> link_price_;
+  std::vector<std::pair<double, phy::NodeId>> heap_;
 
   [[nodiscard]] std::optional<phy::LinkId> next_hop_min_cost(phy::NodeId at, phy::NodeId dst);
   [[nodiscard]] std::optional<phy::LinkId> next_hop_dimension_order(phy::NodeId at,

@@ -86,13 +86,17 @@ void PlpEngine::execute_now(Pending pending) {
   std::visit(Visitor{*this, pending}, cmd);
 }
 
-void PlpEngine::finish(Pending pending, PlpResult result) {
+void PlpEngine::finish(Pending pending, PlpResult result, const Readiness& readiness) {
   result.completed_at = sim_->now();
   counters_.add(result.ok ? "plp.completed." + command_name(pending.cmd)
                           : "plp.failed." + command_name(pending.cmd));
   --inflight_;
+  // Busy bits clear before the readiness notices go out: each notice
+  // bumps the topology version, so an observer that routes from inside
+  // it sees the links' final usability under that version.
   clear_busy(result.removed);
   clear_busy(result.created);
+  for (const auto& [id, ready] : readiness) notify_readiness(id, ready);
   if (pending.callback) pending.callback(result);
   drain_queue();
 }
@@ -160,6 +164,12 @@ void PlpEngine::notify_readiness(phy::LinkId id, bool ready) {
   for (const auto& obs : readiness_observers_) obs(id, ready);
 }
 
+PlpEngine::Readiness PlpEngine::readiness_of(const std::vector<phy::LinkId>& links) const {
+  Readiness out;
+  for (phy::LinkId id : links) out.emplace_back(id, plant_->link(id).ready());
+  return out;
+}
+
 // --- primitives ---
 
 void PlpEngine::run_split(Pending pending) {
@@ -184,8 +194,8 @@ void PlpEngine::run_split(Pending pending) {
   const SimTime duration = timings_.command_overhead + timings_.split;
   sim_->schedule_after(duration, [this, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
-    for (phy::LinkId id : result.created) notify_readiness(id, plant_->link(id).ready());
-    finish(std::move(pending), std::move(result));
+    Readiness readiness = readiness_of(result.created);
+    finish(std::move(pending), std::move(result), readiness);
   });
 }
 
@@ -208,8 +218,8 @@ void PlpEngine::run_bundle(Pending pending) {
   const SimTime duration = timings_.command_overhead + timings_.bundle;
   sim_->schedule_after(duration, [this, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
-    for (phy::LinkId id : result.created) notify_readiness(id, plant_->link(id).ready());
-    finish(std::move(pending), std::move(result));
+    Readiness readiness = readiness_of(result.created);
+    finish(std::move(pending), std::move(result), readiness);
   });
 }
 
@@ -238,8 +248,7 @@ void PlpEngine::run_bypass_join(Pending pending) {
   sim_->schedule_after(duration, [this, joined, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->lane_complete_training(joined);
-    notify_readiness(joined, true);
-    finish(std::move(pending), std::move(result));
+    finish(std::move(pending), std::move(result), {{joined, true}});
   });
 }
 
@@ -267,17 +276,21 @@ void PlpEngine::run_bypass_sever(Pending pending) {
                                   result = std::move(result)]() mutable {
     plant_->lane_complete_training(halves.first);
     plant_->lane_complete_training(halves.second);
-    notify_readiness(halves.first, true);
-    notify_readiness(halves.second, true);
-    finish(std::move(pending), std::move(result));
+    finish(std::move(pending), std::move(result), {{halves.first, true}, {halves.second, true}});
   });
 }
 
 void PlpEngine::run_bring_up(Pending pending) {
   const auto& cmd = std::get<BringUpCommand>(pending.cmd);
   const phy::LinkId id = cmd.link;
+  // The link is idle here (try_execute waited out any busy bit), so it
+  // was usable exactly when it was ready. Bringing up a link that is
+  // already up takes it out of service for the retrain: say so, as the
+  // other primitives do, so the topology version moves with usability.
+  const bool was_usable = plant_->link(id).ready();
   mark_busy({id});
   plant_->lane_begin_training(id);
+  if (was_usable) notify_readiness(id, false);
   PlpResult result;
   result.ok = true;
   result.created = {id};  // becomes usable
@@ -286,8 +299,7 @@ void PlpEngine::run_bring_up(Pending pending) {
   sim_->schedule_after(duration, [this, id, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->lane_complete_training(id);
-    notify_readiness(id, true);
-    finish(std::move(pending), std::move(result));
+    finish(std::move(pending), std::move(result), {{id, true}});
   });
 }
 
@@ -320,8 +332,8 @@ void PlpEngine::run_set_fec(Pending pending) {
                                   pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->set_fec(id, phy::FecSpec::of(scheme));
-    notify_readiness(id, plant_->link(id).ready());
-    finish(std::move(pending), std::move(result));
+    Readiness readiness = readiness_of({id});
+    finish(std::move(pending), std::move(result), readiness);
   });
 }
 
@@ -370,8 +382,8 @@ void PlpEngine::run_provision(Pending pending) {
   sim_->schedule_after(duration, [this, id, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->lane_complete_training(id);
-    notify_readiness(id, plant_->link(id).ready());
-    finish(std::move(pending), std::move(result));
+    Readiness readiness = readiness_of({id});
+    finish(std::move(pending), std::move(result), readiness);
   });
 }
 

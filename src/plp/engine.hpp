@@ -14,6 +14,7 @@
 
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "phy/plant.hpp"
@@ -81,6 +82,13 @@ class PlpEngine {
   void add_topology_observer(TopologyObserver obs) {
     topo_observers_.push_back(std::move(obs));
   }
+  /// Ordering contract: every change to whether a link is usable (its
+  /// busy bit, its lanes' readiness) is followed by a topology or
+  /// readiness notice before any observer, callback or other event
+  /// runs, and a completion clears busy bits *before* its notices. An
+  /// observer may therefore query state derived from link usability
+  /// (e.g. routing, keyed on the topology version these notices bump)
+  /// and never cache a stale answer.
   void add_readiness_observer(ReadinessObserver obs) {
     readiness_observers_.push_back(std::move(obs));
   }
@@ -109,7 +117,13 @@ class PlpEngine {
 
   void try_execute(Pending pending);
   void execute_now(Pending pending);
-  void finish(Pending pending, PlpResult result);
+  /// (link, ready) notices a completion announces to the readiness
+  /// observers.
+  using Readiness = std::vector<std::pair<phy::LinkId, bool>>;
+
+  /// Complete a command: clear its links' busy bits, then announce
+  /// `readiness`, then run the callback and drain the queue.
+  void finish(Pending pending, PlpResult result, const Readiness& readiness = {});
   void fail(const Pending& pending, std::string error);
   void drain_queue();
   void mark_busy(const std::vector<phy::LinkId>& links);
@@ -117,6 +131,7 @@ class PlpEngine {
   void notify_topology(const std::vector<phy::LinkId>& removed,
                        const std::vector<phy::LinkId>& created);
   void notify_readiness(phy::LinkId id, bool ready);
+  [[nodiscard]] Readiness readiness_of(const std::vector<phy::LinkId>& links) const;
 
   // Per-primitive implementations. Each returns the simulated duration
   // and schedules the plant mutation appropriately.

@@ -1,6 +1,7 @@
 #include "telemetry/histogram.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -10,6 +11,25 @@ namespace rsf::telemetry {
 std::size_t Histogram::bucket_index(double v) {
   // v >= 1 guaranteed by caller (zero_or_negative_ handles the rest;
   // values in (0,1) clamp to bucket 0).
+  if (v < 1.0) return 0;
+  // Fast path: for v in [2^e, 2^(e+1)) the bucket is e and the top
+  // kSubBucketBits mantissa bits, read straight from the IEEE layout.
+  // The reference expression below agrees except where log2(v) may
+  // round up to e + 1 (v within 2^12 ulps below a power of two), at
+  // the exponent clamp, and for inf/NaN: those take the reference.
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const int exponent = static_cast<int>(bits >> 52) - 1023;
+  constexpr std::uint64_t kMantissaMask = (std::uint64_t{1} << 52) - 1;
+  constexpr std::uint64_t kTop40Ones = (std::uint64_t{1} << 40) - 1;
+  const std::uint64_t mantissa = bits & kMantissaMask;
+  if (exponent < 62 && (mantissa >> 12) != kTop40Ones) {
+    return static_cast<std::size_t>(exponent) * kSubBuckets +
+           static_cast<std::size_t>(mantissa >> (52 - kSubBucketBits));
+  }
+  return bucket_index_reference(v);
+}
+
+std::size_t Histogram::bucket_index_reference(double v) {
   if (v < 1.0) return 0;
   const int exponent = std::min(62, static_cast<int>(std::floor(std::log2(v))));
   const double base = std::exp2(exponent);

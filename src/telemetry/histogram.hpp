@@ -51,6 +51,14 @@ class Histogram {
   /// attributed to a window after the fact.
   [[nodiscard]] Histogram since(const Histogram& earlier) const;
 
+  /// Bucket of a value >= 1 (values below 1 map to 0): exponent times
+  /// 64 plus the linear sub-bucket. bucket_index reads it from the IEEE
+  /// layout and falls back to bucket_index_reference, the log2/exp2
+  /// expression, wherever the two could differ; both are public so the
+  /// equality can be tested.
+  [[nodiscard]] static std::size_t bucket_index(double v);
+  [[nodiscard]] static std::size_t bucket_index_reference(double v);
+
   /// One-line summary, e.g. "n=1000 mean=4.2us p50=... p99=...",
   /// interpreting stored values as picoseconds.
   [[nodiscard]] std::string summary_time() const;
@@ -61,7 +69,6 @@ class Histogram {
   static constexpr int kSubBucketBits = 6;  // 64 sub-buckets => <1.6% error
   static constexpr int kSubBuckets = 1 << kSubBucketBits;
 
-  [[nodiscard]] static std::size_t bucket_index(double v);
   [[nodiscard]] static double bucket_upper_edge(std::size_t idx);
 
   std::vector<std::uint64_t> buckets_;

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <optional>
 
 #include "fabric/builders.hpp"
+#include "sim/random.hpp"
 
 namespace rsf::fabric {
 namespace {
@@ -530,6 +532,81 @@ TEST_F(NetFixture, DeferredStartOnRecycledSlotCarriesItsOwnGeneration) {
   sim.run_until();
   EXPECT_EQ(completed, 4);
   EXPECT_EQ(rack.network->flows_completed(), 12u);
+}
+
+/// The switched-bits window as it was computed before the binary
+/// search: a linear walk from the front of the log. Kept as the oracle.
+struct LinearSwitchedBits {
+  std::uint64_t total = 0;
+  std::deque<std::pair<SimTime, std::uint64_t>> log;
+  std::uint64_t pruned = 0;
+  SimTime pruned_time = SimTime::zero();
+  SimTime retention = SimTime::milliseconds(1);
+  int pruned_baselines = 0;  // queries answered from the pruned baseline
+  int clamped = 0;           // queries whose window start was clamped
+
+  void record(SimTime now, std::uint64_t bits) {
+    total += bits;
+    log.emplace_back(now, total);
+    const SimTime cutoff = now - retention;
+    while (!log.empty() && log.front().first < cutoff) {
+      pruned = log.front().second;
+      pruned_time = log.front().first;
+      log.pop_front();
+    }
+  }
+
+  SwitchedBitsLog::Window window(SimTime now, SimTime span) {
+    retention = std::max(retention, span);
+    const SimTime from = now >= span ? now - span : SimTime::zero();
+    const SimTime covered_from = std::max(from, pruned_time);
+    std::uint64_t bits_before = pruned;
+    bool from_pruned = true;
+    for (const auto& [t, bits] : log) {
+      if (t >= covered_from) break;
+      bits_before = bits;
+      from_pruned = false;
+    }
+    pruned_baselines += from_pruned ? 1 : 0;
+    clamped += covered_from > from ? 1 : 0;
+    SwitchedBitsLog::Window out;
+    out.bits = static_cast<double>(total - bits_before);
+    out.seconds = covered_from > from ? std::max((now - covered_from).sec(), 1e-12)
+                                      : std::max(span.sec(), 1e-12);
+    return out;
+  }
+};
+
+TEST(SwitchedBitsLog, BinarySearchMatchesLinearWalk) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    rsf::sim::RandomStream rng(seed, "test.switched_bits");
+    SwitchedBitsLog log;
+    LinearSwitchedBits oracle;
+    SimTime now = SimTime::zero();
+    for (int op = 0; op < 4000; ++op) {
+      // Bursts of same-instant appends, gaps up to past the retention,
+      // and queries of spans both inside and wider than what is kept.
+      if (rng.bernoulli(0.7)) {
+        if (rng.bernoulli(0.8)) {
+          now += SimTime::nanoseconds(rng.uniform_int(0, rng.bernoulli(0.05) ? 3'000'000 : 20'000));
+        }
+        const auto bits = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 16));
+        log.record(now, bits);
+        oracle.record(now, bits);
+      } else {
+        if (rng.bernoulli(0.3)) now += SimTime::nanoseconds(rng.uniform_int(0, 2'000'000));
+        // The span range grows with the run, so new widest windows keep
+        // arriving after the log was pruned to a narrower retention.
+        const SimTime span = SimTime::nanoseconds(rng.uniform_int(1, 500'000 * (1 + op / 400)));
+        const SwitchedBitsLog::Window got = log.window(now, span);
+        const SwitchedBitsLog::Window want = oracle.window(now, span);
+        ASSERT_EQ(got.bits, want.bits) << "seed " << seed << " op " << op;
+        ASSERT_EQ(got.seconds, want.seconds) << "seed " << seed << " op " << op;
+      }
+    }
+    EXPECT_GT(oracle.pruned_baselines, 0) << seed;
+    EXPECT_GT(oracle.clamped, 0) << seed;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "sim/random.hpp"
@@ -16,6 +20,51 @@ using rsf::sim::SimTime;
 using namespace rsf::sim::literals;
 
 // --- Histogram ---
+
+// The IEEE fast path of bucket_index against the log2/exp2 reference
+// it replaced, over every value where the two could plausibly differ
+// (around powers of two and sub-bucket edges) and broad sweeps.
+TEST(Histogram, BucketIndexFastPathEqualsLog2Reference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::uint64_t checked = 0;
+  std::uint64_t mismatches = 0;
+  double first_bad = 0.0;
+  const auto check = [&](double v) {
+    ++checked;
+    if (Histogram::bucket_index(v) != Histogram::bucket_index_reference(v)) {
+      if (mismatches++ == 0) first_bad = v;
+    }
+  };
+  const auto around = [&](double centre, int ulps) {
+    check(centre);
+    double lo = centre;
+    double hi = centre;
+    for (int k = 0; k < ulps; ++k) {
+      lo = std::nextafter(lo, 0.0);
+      hi = std::nextafter(hi, inf);
+      check(lo);
+      check(hi);
+    }
+  };
+  for (int e = 0; e <= 70; ++e) around(std::ldexp(1.0, e), 5000);
+  for (int e = 0; e <= 70; ++e) {
+    for (int sub = 1; sub < 64; ++sub) around(std::ldexp(1.0 + sub / 64.0, e), 200);
+  }
+  for (int i = 0; i < 5'000'000; ++i) check(static_cast<double>(i));
+  rsf::sim::RandomStream rng(7, "test.histogram_buckets");
+  for (int i = 0; i < 10'000'000; ++i) {
+    // Log-uniform over the recorded range, and a random mantissa under
+    // a random exponent from 2^-4 to 2^80.
+    check(std::exp2(rng.uniform(0.0, 70.0)));
+    const auto exponent = static_cast<std::uint64_t>(rng.uniform_int(1023 - 4, 1023 + 80));
+    check(std::bit_cast<double>((exponent << 52) | (rng() >> 12)));
+  }
+  check(inf);
+  check(std::numeric_limits<double>::quiet_NaN());
+  check(1e300);
+  EXPECT_EQ(mismatches, 0u) << "first at " << first_bad << " of " << checked;
+  EXPECT_GT(checked, 27'000'000u);
+}
 
 TEST(Histogram, EmptyHistogramIsZero) {
   Histogram h;
