@@ -4,8 +4,15 @@
 // and prints the series as a table.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstdio>
+#include <exception>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "runtime/runtime.hpp"
 #include "sim/log.hpp"
@@ -21,6 +28,41 @@ inline void print_header(const char* id, const char* paper_artifact, const char*
   std::printf("# %s — reproduces %s\n", id, paper_artifact);
   std::printf("# Paper claim: %s\n", claim);
   std::printf("################################################################\n");
+}
+
+/// The sweep arm pool: run fn(0) .. fn(count - 1), each exactly once,
+/// on `workers` threads (the caller's plus up to workers - 1 helpers;
+/// never more threads than items). Arms are independent simulations,
+/// so fn(i) must write only to a result slot owned by index i: the
+/// caller then assembles output in index order, and it never depends
+/// on completion order or on the worker count. If an arm throws, no
+/// further arms start and the first exception is rethrown once every
+/// thread has joined.
+template <typename Fn>
+void run_pool(std::size_t count, int workers, Fn&& fn) {
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;  // guarded by error_mu
+  const auto pump = [&] {
+    try {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < count;
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        fn(i);
+      }
+    } catch (...) {
+      next.store(count, std::memory_order_relaxed);
+      const std::lock_guard<std::mutex> lock(error_mu);
+      if (!error) error = std::current_exception();
+    }
+  };
+  {
+    const std::size_t threads =
+        std::min(static_cast<std::size_t>(std::max(workers, 1)), count);
+    std::vector<std::jthread> helpers;  // joined on scope exit, throw or not
+    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(pump);
+    pump();
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 /// Aggregate traffic metrics over a finished generator run.

@@ -16,12 +16,10 @@
 // acceptance artifact: in at least one skewed arm the slotted regime
 // must beat the carve on background slowdown at greater-or-equal hot
 // speedup.
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -60,13 +58,11 @@ const char* regime_name(SlottedRegime r) {
   return "?";
 }
 
-SlottedScenarioResult run_cell(SlottedArm arm, SlottedRegime regime, double loss,
-                               int fleet_workers) {
+SlottedScenarioResult run_cell(SlottedArm arm, SlottedRegime regime, double loss) {
   SlottedScenarioConfig cfg;
   cfg.arm = arm;
   cfg.regime = regime;
   cfg.loss_prob = loss;
-  cfg.workers = fleet_workers;
   SlottedFleetScenario scenario(cfg);
   return scenario.run();
 }
@@ -151,24 +147,17 @@ int main(int argc, char** argv) {
   bench::quiet_logs();
   std::string json_path = "bench-ext11_slotted_sweep.json";
   // --workers N: sweep-level parallelism — the 18 scenario cells (6
-  // points x packet/carve/slotted) are independent simulations, so a
-  // pool of N threads runs them concurrently and the table/JSON are
-  // assembled serially afterwards in the fixed sweep order: output is
-  // byte-identical for every N. --fleet-workers N: intra-run
-  // parallelism — each cell's FleetRuntime drives its racks through
-  // the conservative-PDES engine; also byte-identical by construction
-  // (the CI determinism gate diffs it against the serial oracle).
+  // points x packet/carve/slotted) are independent simulations, so the
+  // arm pool runs them on N threads and the table/JSON are assembled
+  // serially afterwards in the fixed sweep order: output is
+  // byte-identical for every N.
   int sweep_workers = 1;
-  int fleet_workers = 1;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
     if (std::strcmp(argv[i], "--workers") == 0) sweep_workers = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--fleet-workers") == 0) {
-      fleet_workers = std::atoi(argv[i + 1]);
-    }
   }
-  if (sweep_workers < 1 || fleet_workers < 1) {
-    std::fprintf(stderr, "ext11: --workers/--fleet-workers must be >= 1\n");
+  if (sweep_workers < 1) {
+    std::fprintf(stderr, "ext11: --workers must be >= 1\n");
     return 2;
   }
   bench::print_header(
@@ -190,49 +179,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Run every cell, possibly on a pool. Results land in slots indexed
-  // by (point, regime), so completion order never touches output
-  // order.
-  struct Cell {
-    std::size_t point;
-    SlottedRegime regime;
-  };
-  std::vector<Cell> cells;
-  cells.reserve(points.size() * 3);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    cells.push_back({i, SlottedRegime::kPacket});
-    cells.push_back({i, SlottedRegime::kCarve});
-    cells.push_back({i, SlottedRegime::kSlotted});
-  }
-  std::atomic<std::size_t> next{0};
-  auto pump = [&] {
-    for (;;) {
-      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= cells.size()) return;
-      SweepPoint& p = points[cells[c].point];
-      SlottedScenarioResult r = run_cell(p.arm, cells[c].regime, p.loss, fleet_workers);
-      switch (cells[c].regime) {
-        case SlottedRegime::kPacket:
-          p.packet = r;
-          break;
-        case SlottedRegime::kCarve:
-          p.carve = r;
-          break;
-        case SlottedRegime::kSlotted:
-          p.slotted = r;
-          break;
-      }
-    }
-  };
-  if (sweep_workers == 1) {
-    pump();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(sweep_workers) - 1);
-    for (int t = 1; t < sweep_workers; ++t) pool.emplace_back(pump);
-    pump();
-    for (std::thread& t : pool) t.join();
-  }
+  // Run every cell on the pool: cell 3i + k is point i under regime
+  // k, and each writes only its own result slot.
+  static constexpr SlottedRegime kRegimes[] = {SlottedRegime::kPacket, SlottedRegime::kCarve,
+                                               SlottedRegime::kSlotted};
+  bench::run_pool(points.size() * 3, sweep_workers, [&points](std::size_t c) {
+    SweepPoint& p = points[c / 3];
+    const SlottedRegime regime = kRegimes[c % 3];
+    SlottedScenarioResult& slot = regime == SlottedRegime::kPacket  ? p.packet
+                                  : regime == SlottedRegime::kCarve ? p.carve
+                                                                    : p.slotted;
+    slot = run_cell(p.arm, regime, p.loss);
+  });
 
   telemetry::Table table("ext11 — transport-regime crossover per sweep point",
                          {"arm", "loss", "hot pkt (us)", "hot carve (us)",

@@ -320,53 +320,6 @@ __attribute__((flatten)) std::size_t Simulator::run_events(std::size_t max_event
   return count;
 }
 
-// Earliest live key in one calendar level. Buckets partition the
-// level by time, so the first bucket holding a live record contains
-// the level's minimum (and every record at that time — one time maps
-// to one bucket — so the min seq is found in the same walk).
-// Tombstone-only buckets are skipped, not swept: this is a const peek.
-Simulator::PendingKey Simulator::min_key(const Calendar& cal, std::size_t from) const {
-  PendingKey best = PendingKey::infinite();
-  cal.find_from(from, [&](std::size_t b) {
-    for (std::uint32_t index = cal.heads[b]; index != kNilIndex; index = record_next_[index]) {
-      const EventRecord& rec = records_[index];
-      if (is_live(rec.id) && PendingKey{rec.time, rec.seq} < best) best = {rec.time, rec.seq};
-    }
-    return best.time != SimTime::infinity();
-  });
-  return best;
-}
-
-// Pruned walk of the heap: a subtree whose root key is later than the
-// best live key so far cannot improve it. Only tombstones (and same-
-// time ties, for the seq order) make it descend past a live node.
-void Simulator::heap_min(std::size_t at, PendingKey& best) const {
-  if (at >= far_heap_.size() || far_heap_[at].time_ps > best.time.ps()) return;
-  const EventRecord& rec = records_[far_heap_[at].index];
-  if (is_live(rec.id) && PendingKey{rec.time, rec.seq} < best) best = {rec.time, rec.seq};
-  heap_min(2 * at + 1, best);
-  heap_min(2 * at + 2, best);
-}
-
-Simulator::PendingKey Simulator::next_key() const {
-  // An in-flight batch resumes first: any live remainder runs at
-  // batch_time_, which is <= every still-queued time, and the batch is
-  // seq-sorted, so the first live record from the cursor is minimal.
-  for (std::size_t c = batch_cursor_; c < batch_.size(); ++c) {
-    const EventRecord& rec = records_[batch_[c]];
-    if (is_live(rec.id)) return {batch_time_, rec.seq};
-  }
-  // Then the tiers in order: every ring time precedes every level-2
-  // time, which precedes every heap time.
-  PendingKey best = PendingKey::infinite();
-  if (ring_count_ != 0) best = min_key(ring_, ring_.scan_word << 6);
-  if (best.time == SimTime::infinity() && far_count_ != 0) {
-    best = min_key(far_, far_bucket(base_ps_ + kWindowPs));
-  }
-  if (best.time == SimTime::infinity()) heap_min(0, best);
-  return best;
-}
-
 void Simulator::fast_forward_to(SimTime when) {
   if (strong_count_ != 0 || weak_count_ != 0) {
     throw std::logic_error("Simulator::fast_forward_to: events pending");

@@ -45,17 +45,13 @@
 // Invariants: every ring time < every level-2 time < every heap time,
 // and base_ps_ <= now_ wherever a schedule can happen. The second one
 // is why a re-anchor commits only when an event will run: a pure peek
-// (run_until stopping at its horizon, next_key()) must not move the
-// window past the clock, or a schedule between them would compute a
-// negative bucket.
+// (run_until stopping at its horizon) must not move the window past
+// the clock, or a schedule between them would compute a negative
+// bucket.
 //
 // The (time, insertion-sequence) total order is what callers observe;
 // bucket layout and batch boundaries are invisible to it. Handlers
 // must not re-enter run_until()/run_events().
-//
-// The record/queue split is deliberate groundwork for conservative-
-// PDES sharding: a shard is this queue plus its slot pool, and records
-// already move by memcpy.
 #pragma once
 
 #include <array>
@@ -156,40 +152,8 @@ class Simulator {
   /// used by tests to set up mid-run scenarios.
   void fast_forward_to(SimTime when);
 
-  /// The (time, insertion-sequence) key of the earliest live pending
-  /// event. Orders lexicographically; infinite() when nothing is
-  /// pending.
-  struct PendingKey {
-    SimTime time = SimTime::infinity();
-    std::uint64_t seq = UINT64_MAX;
-    [[nodiscard]] static PendingKey infinite() { return {}; }
-    [[nodiscard]] bool operator<(const PendingKey& o) const {
-      return time < o.time || (time == o.time && seq < o.seq);
-    }
-  };
-
-  /// Time of the earliest live pending event (strong or weak), or
-  /// infinity when none remain. A pure peek: no batch is formed, no
-  /// window re-anchor is committed (tombstones are skipped, not
-  /// reclaimed). This is the horizon the conservative-PDES merge
-  /// engine compares across shard rings.
-  [[nodiscard]] SimTime next_time() const { return next_key().time; }
-
-  /// Full merge key of the earliest live pending event. With rings
-  /// sharing one sequence counter (ParallelMergePeer::share_sequence)
-  /// the keys are totally ordered across rings, and merging on them
-  /// replays the single-clock oracle's (time, insertion-sequence)
-  /// schedule exactly — including cross-ring same-instant ties.
-  [[nodiscard]] PendingKey next_key() const;
-
  private:
   friend struct SimulatorTestPeer;
-  /// Conservative-PDES merge seam (runtime::ParallelFleetEngine): a
-  /// clock advance that skips fast_forward_to's idle check because the
-  /// engine has *proved* no pending event precedes the target (the
-  /// merge invariant: it only advances a ring to the fleet-wide
-  /// frontier, which is <= every ring's next_time()).
-  friend struct ParallelMergePeer;
 
   // Calendar geometry: 1024 buckets of 2^12 ps give a ~4.2 us window,
   // matching the sub-us inter-event gaps of the packet paths. The ring
@@ -318,8 +282,6 @@ class Simulator {
     free_record_index(index);
     ++stats_.tombstones_reclaimed;
   }
-  [[nodiscard]] PendingKey min_key(const Calendar& cal, std::size_t from) const;
-  void heap_min(std::size_t at, PendingKey& best) const;
 
   /// Record-slab free list with its top element in record_spare_:
   /// one-deep churn (the schedule/drain cycle of chained events) stays
@@ -362,13 +324,6 @@ class Simulator {
 
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 1;
-  /// Where insertion sequences are drawn from — self by default. The
-  /// parallel fleet drive points every shard ring at the fleet ring's
-  /// counter so the (time, seq) order stays total across rings. One
-  /// extra indirection on schedule; never concurrent (at most one
-  /// thread executes simulation code at a time, and the engine's
-  /// window handoff orders the accesses).
-  std::uint64_t* seq_src_ = &next_seq_;
   std::uint64_t executed_ = 0;
   std::size_t strong_count_ = 0;
   std::size_t weak_count_ = 0;
@@ -412,28 +367,6 @@ class Simulator {
   SimTime batch_time_ = SimTime::zero();
 };
 
-/// The parallel fleet drive's window into the kernel (the engine and
-/// FleetRuntime's shard setup). Every member assumes the drive's
-/// conservative invariants; nothing else may use this (tests use
-/// SimulatorTestPeer).
-struct ParallelMergePeer {
-  /// Set the clock to `t` without draining. Caller proves t <= the
-  /// ring's next_time(); times at or before now() are a no-op, so the
-  /// engine can blanket-advance every ring to the frontier.
-  static void advance_clock(Simulator& s, SimTime t) {
-    if (t > s.now_) s.now_ = t;
-  }
-  static std::size_t strong_pending(const Simulator& s) { return s.strong_count_; }
-  static std::size_t weak_pending(const Simulator& s) { return s.weak_count_; }
-  /// Draw `follower`'s insertion sequences from `leader`'s counter.
-  /// Must run before anything schedules on `follower`; with every
-  /// shard ring following the fleet ring, schedule calls interleave
-  /// into one total (time, seq) order — the oracle's.
-  static void share_sequence(Simulator& follower, Simulator& leader) {
-    follower.seq_src_ = leader.seq_src_;
-  }
-};
-
 inline EventRecord& Simulator::acquire_record(SimTime when, bool weak) {
   if (when < now_) throw_past_time(when);
   const auto slot = slots_.claim();
@@ -447,7 +380,7 @@ inline EventRecord& Simulator::acquire_record(SimTime when, bool weak) {
   place(index, when.ps());
   EventRecord& rec = records_[index];
   rec.time = when;
-  rec.seq = (*seq_src_)++;
+  rec.seq = next_seq_++;
   rec.id = encode_id(slot.index, slot.generation);
   return rec;
 }

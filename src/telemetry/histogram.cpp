@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 
 namespace rsf::telemetry {
 
@@ -31,6 +32,10 @@ std::size_t Histogram::bucket_index(double v) {
 
 std::size_t Histogram::bucket_index_reference(double v) {
   if (v < 1.0) return 0;
+  // v >= 2^63, +inf and NaN: the top bucket, where the expression below
+  // puts every finite v >= 2^63 — returned without casting a log2 or a
+  // sub-bucket that int cannot hold.
+  if (!(v < 0x1p63)) return std::size_t{62} * kSubBuckets + (kSubBuckets - 1);
   const int exponent = std::min(62, static_cast<int>(std::floor(std::log2(v))));
   const double base = std::exp2(exponent);
   int sub = static_cast<int>((v - base) / base * kSubBuckets);
@@ -46,6 +51,7 @@ double Histogram::bucket_upper_edge(std::size_t idx) {
 }
 
 void Histogram::record(double value) {
+  if (!std::isfinite(value)) throw std::invalid_argument("Histogram::record: non-finite value");
   if (count_ == 0) {
     min_ = max_ = value;
   } else {

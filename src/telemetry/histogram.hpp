@@ -18,6 +18,9 @@ class Histogram {
  public:
   Histogram() = default;
 
+  /// Throws std::invalid_argument for NaN and ±inf, before any state
+  /// changes: a non-finite sample has no bucket and would poison the
+  /// sum and extremes.
   void record(double value);
   void record(rsf::sim::SimTime t) { record(static_cast<double>(t.ps())); }
 
@@ -52,7 +55,8 @@ class Histogram {
   [[nodiscard]] Histogram since(const Histogram& earlier) const;
 
   /// Bucket of a value >= 1 (values below 1 map to 0): exponent times
-  /// 64 plus the linear sub-bucket. bucket_index reads it from the IEEE
+  /// 64 plus the linear sub-bucket. Values >= 2^63, +inf and NaN map to
+  /// the top bucket (62 * 64 + 63). bucket_index reads it from the IEEE
   /// layout and falls back to bucket_index_reference, the log2/exp2
   /// expression, wherever the two could differ; both are public so the
   /// equality can be tested.

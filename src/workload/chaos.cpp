@@ -45,8 +45,7 @@ runtime::SpineSpec chaos_link(std::uint32_t a, std::uint32_t b, double cost) {
 /// outside both trenches. Cutting one trench leaves the line whole on
 /// the other; cutting both partitions rack 3; a rack-1 brownout
 /// (links 0..3) still leaves 2 -> 0 and 3 -> 0 routable over the
-/// bypass. Every latency is equal, so the parallel drive's lookahead
-/// is uniform.
+/// bypass.
 runtime::FleetConfig chaos_fleet(const ChaosScenarioConfig& cfg) {
   runtime::FleetConfig fc;
   for (std::uint32_t i = 0; i < kRacks; ++i) fc.racks.push_back(chaos_rack());
@@ -59,7 +58,6 @@ runtime::FleetConfig chaos_fleet(const ChaosScenarioConfig& cfg) {
   fc.spine.push_back(chaos_link(0, 2, 2.5));  // 6: the brownout bypass
   for (runtime::SpineSpec& s : fc.spine) s.loss_prob = cfg.loss_prob;
   fc.seed = cfg.seed;
-  fc.workers = cfg.workers;
   fc.enable_controller = true;
   fc.controller.epoch = SimTime::microseconds(20);
   fc.controller.reservations.enable = cfg.reservations;
@@ -122,9 +120,8 @@ ChaosScenario::ChaosScenario(ChaosScenarioConfig config)
   if (config_.horizon <= SimTime::zero()) {
     throw std::invalid_argument("ChaosScenario: non-positive horizon");
   }
-  // Resolve the chaos counter set now, while no worker threads exist:
-  // metrics() snapshots every rack registry, which event handlers on
-  // the parallel drive must never do mid-run.
+  // Resolve the chaos counter set once: metrics() snapshots every rack
+  // registry, which event handlers should not pay for per event.
   chaos_counters_ = &fleet_->metrics().counters("chaos");
   fabric::Interconnect& spine = fleet_->spine();
   const auto a = spine.add_shared_risk_group({0, 2, 4});
@@ -271,9 +268,8 @@ ChaosScenarioResult ChaosScenario::run() {
   launch_flow(f.at(2, 0, 3), f.at(0, 3, 3), false);
   launch_flow(f.at(2, 3, 3), f.at(0, 3, 3), false);
 
-  // The timeline rides weak fleet-ring events: chaos never keeps a
-  // drained fleet alive, and the conservative-PDES merge replays the
-  // exact oracle order, so runs stay byte-identical across workers.
+  // The timeline rides weak fleet events: chaos never keeps a
+  // drained fleet alive.
   for (const ChaosEvent& e : timeline_) {
     f.sim().schedule_weak_at(e.at, [this, e] { apply(e); });
   }

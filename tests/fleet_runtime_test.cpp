@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "runtime/fleet.hpp"
 #include "runtime/runtime.hpp"
@@ -443,6 +445,85 @@ TEST(FleetRuntime, SameSeedRunsRenderByteIdenticalMetricsTables) {
   EXPECT_EQ(a.metrics_table().to_string(), b.metrics_table().to_string());
 }
 
+/// A lossy three-rack line under a shuffle and a delayed incast,
+/// rendered to its full merged metrics table.
+std::string run_mixed_fleet() {
+  FleetConfig fc;
+  for (int i = 0; i < 3; ++i) fc.racks.push_back(RackSpec{grid_config(3, 3), 0});
+  for (int i = 0; i < 2; ++i) {
+    SpineSpec s;
+    s.rack_a = static_cast<std::uint32_t>(i);
+    s.rack_b = static_cast<std::uint32_t>(i + 1);
+    s.latency = 2_us;
+    s.loss_prob = 0.01;  // exercises the spine RNG draw order
+    fc.spine.push_back(s);
+  }
+  fc.seed = 7;
+  FleetRuntime fleet(fc);
+
+  workload::CrossRackShuffleConfig shuffle;
+  for (int x = 0; x < 3; ++x) shuffle.mappers.push_back(fleet.at(0, x, 2));
+  for (phy::NodeId n = 1; n <= 3; ++n) shuffle.reducers.push_back({2, n});
+  shuffle.bytes_per_pair = DataSize::kilobytes(32);
+  fleet.add_shuffle(shuffle).run([](const workload::CrossRackResult&) {});
+
+  workload::CrossRackIncastConfig incast;
+  for (int x = 0; x < 3; ++x) incast.sources.push_back(fleet.at(1, x, 0));
+  incast.sink = fleet.at(0, 1, 1);
+  incast.bytes_per_source = DataSize::kilobytes(16);
+  incast.start = 40_us;
+  fleet.add_incast(incast).run([](const workload::CrossRackResult&) {});
+
+  fleet.start();
+  fleet.run_until();
+  fleet.stop();
+  fleet.run_until();
+  EXPECT_GT(fleet.flows_completed(), 0u);
+  return fleet.metrics_table().to_string() + "completed " +
+         std::to_string(fleet.flows_completed()) + " failed " +
+         std::to_string(fleet.flows_failed()) + "\n";
+}
+
+TEST(FleetRuntime, MixedWorkloadSameSeedTwiceIsByteIdentical) {
+  EXPECT_EQ(run_mixed_fleet(), run_mixed_fleet());
+}
+
+TEST(FleetRuntime, SkewedScenariosSameSeedTwiceAreByteIdentical) {
+  // The ext9 sweep's three scenarios — different topologies, rack
+  // mixes, and controller policies — each checked lossless and lossy.
+  using workload::SkewedFleetScenario;
+  using workload::SkewedScenarioConfig;
+  using workload::SkewedScenarioKind;
+  using workload::SkewedScenarioResult;
+  const SkewedScenarioKind kinds[] = {SkewedScenarioKind::kHotRackIncast,
+                                      SkewedScenarioKind::kSlowSpineLeg,
+                                      SkewedScenarioKind::kMixedRackSizes};
+  for (const SkewedScenarioKind kind : kinds) {
+    for (const double loss : {0.0, 0.005}) {
+      auto run = [&] {
+        SkewedScenarioConfig cfg;
+        cfg.kind = kind;
+        cfg.loss_prob = loss;
+        cfg.reservations = true;
+        SkewedFleetScenario scenario(cfg);
+        const SkewedScenarioResult r = scenario.run();
+        return std::pair<SkewedScenarioResult, std::string>(
+            r, scenario.fleet().metrics_table().to_string());
+      };
+      const auto first = run();
+      const auto second = run();
+      EXPECT_EQ(second.second, first.second)
+          << "kind=" << static_cast<int>(kind) << " loss=" << loss;
+      EXPECT_EQ(second.first.hot.job_completion, first.first.hot.job_completion);
+      EXPECT_EQ(second.first.background.job_completion,
+                first.first.background.job_completion);
+      EXPECT_EQ(second.first.hot.retransmits, first.first.hot.retransmits);
+      EXPECT_EQ(second.first.promotions, first.first.promotions);
+      EXPECT_EQ(second.first.reserved_bytes, first.first.reserved_bytes);
+    }
+  }
+}
+
 TEST(FleetRuntime, AddingARackDoesNotPerturbExistingRacksStreams) {
   // The same workload runs in a 2-rack fleet and a 3-rack fleet (the
   // extra rack idles): racks 0 and 1 must render byte-identical
@@ -490,6 +571,20 @@ TEST(FleetRuntime, RejectsBadConfigs) {
   bad_delay.racks.push_back(RackSpec{grid_config(), 0});
   bad_delay.retry_delay = 0_us - 5_us;  // retries must not go backwards
   EXPECT_THROW(FleetRuntime{bad_delay}, std::invalid_argument);
+
+  // A fleet is one serial drive; parallelism lives in the sweep arm
+  // pool, and the refusal says so.
+  for (const int workers : {-1, 0, 2, 4}) {
+    FleetConfig bad_workers;
+    bad_workers.racks.push_back(RackSpec{grid_config(), 0});
+    bad_workers.workers = workers;
+    try {
+      FleetRuntime fleet(bad_workers);
+      ADD_FAILURE() << "workers=" << workers << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("arm pool"), std::string::npos) << e.what();
+    }
+  }
 
   FleetConfig bad_spine;
   bad_spine.racks.push_back(RackSpec{grid_config(), 0});

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "sim/random.hpp"
 #include "telemetry/counters.hpp"
@@ -219,6 +221,44 @@ TEST(Histogram, SinceCountsSubUnitValues) {
   EXPECT_EQ(window.count(), 2u);
   EXPECT_DOUBLE_EQ(window.mean(), 0.375);
   EXPECT_LE(window.max(), 1.0);
+}
+
+// NaN and ±inf have no bucket: record refuses them before touching
+// any state, so the histogram reads exactly as it did before.
+TEST(Histogram, NonFiniteRecordThrowsAndLeavesStateUnchanged) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Histogram h;
+  for (double v : {0.25, 3.0, 1000.0, 1e6, 7e12}) h.record(v);
+  const auto observe = [](const Histogram& x) {
+    std::vector<double> o = {static_cast<double>(x.count()), x.min(), x.max(), x.mean(),
+                             x.stddev()};
+    for (double q = 0.0; q <= 1.0; q += 0.05) o.push_back(x.quantile(q));
+    return o;
+  };
+  const std::vector<double> before = observe(h);
+  for (double v : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    EXPECT_THROW(h.record(v), std::invalid_argument) << v;
+    EXPECT_EQ(observe(h), before) << v;
+  }
+  Histogram empty;
+  EXPECT_THROW(empty.record(inf), std::invalid_argument);
+  EXPECT_EQ(empty.count(), 0u);
+  EXPECT_EQ(empty.max(), 0.0);
+  // A refused sample leaves no trace in the buckets either: the same
+  // later sample lands identically with or without it.
+  Histogram copy = h.snapshot();
+  EXPECT_THROW(copy.record(-inf), std::invalid_argument);
+  copy.record(5.0);
+  h.record(5.0);
+  EXPECT_EQ(observe(copy), observe(h));
+
+  // The bucket functions map +inf, NaN and everything >= 2^63 to the
+  // top bucket without an out-of-range cast.
+  constexpr std::size_t kTop = 62 * 64 + 63;
+  for (double v : {inf, std::numeric_limits<double>::quiet_NaN(), 0x1p63, 1e300}) {
+    EXPECT_EQ(Histogram::bucket_index(v), kTop) << v;
+    EXPECT_EQ(Histogram::bucket_index_reference(v), kTop) << v;
+  }
 }
 
 TEST(Histogram, ResetClears) {
