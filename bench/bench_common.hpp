@@ -8,8 +8,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,6 +66,48 @@ void run_pool(std::size_t count, int workers, Fn&& fn) {
     pump();
   }
   if (error) std::rethrow_exception(error);
+}
+
+/// The sweep benches' command line: `--json <path>` (where the JSON
+/// artifact goes) and `--workers N` (the arm pool's thread count).
+struct SweepArgs {
+  std::string json_path;
+  int workers = 1;
+};
+
+/// Parse a sweep bench's flags. Returns nullopt, after saying why on
+/// stderr under the bench's `id`, when --workers is below 1.
+inline std::optional<SweepArgs> parse_sweep_args(int argc, char** argv, const char* id,
+                                                 std::string default_json_path) {
+  SweepArgs args{std::move(default_json_path), 1};
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0) args.json_path = argv[i + 1];
+    if (std::strcmp(argv[i], "--workers") == 0) args.workers = std::atoi(argv[i + 1]);
+  }
+  if (args.workers < 1) {
+    std::fprintf(stderr, "%s: --workers must be >= 1\n", id);
+    return std::nullopt;
+  }
+  return args;
+}
+
+/// A claimed regime against the packet baseline, in percent of the
+/// baseline's job completion: the hot pair's speedup (positive =
+/// faster) and the background's slowdown (positive = slower); 0 when
+/// the baseline job took no time.
+struct Crossover {
+  double hot_speedup_pct = 0;
+  double background_slowdown_pct = 0;
+};
+
+/// `Result` is any scenario result with `hot` and `background` jobs.
+template <typename Result>
+[[nodiscard]] Crossover crossover(const Result& packet, const Result& claimed) {
+  const double hot_off = packet.hot.job_completion.us();
+  const double bg_off = packet.background.job_completion.us();
+  return {hot_off > 0 ? (hot_off - claimed.hot.job_completion.us()) / hot_off * 100.0 : 0.0,
+          bg_off > 0 ? (claimed.background.job_completion.us() - bg_off) / bg_off * 100.0
+                     : 0.0};
 }
 
 /// Aggregate traffic metrics over a finished generator run.

@@ -16,8 +16,6 @@
 // the CI determinism gate byte-diffs the whole output at --workers 1
 // vs 4.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -159,19 +157,11 @@ void emit_json(const std::vector<Arm>& arms, const std::string& path) {
 
 int main(int argc, char** argv) {
   bench::quiet_logs();
-  std::string json_path = "bench-ext10_chaos_sweep.json";
   // --workers N: arm-level parallelism (independent simulations on
   // the arm pool; output assembled in fixed arm order, so it is
   // byte-identical for every N).
-  int sweep_workers = 1;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--workers") == 0) sweep_workers = std::atoi(argv[i + 1]);
-  }
-  if (sweep_workers < 1) {
-    std::fprintf(stderr, "ext10: --workers must be >= 1\n");
-    return 2;
-  }
+  const auto args = bench::parse_sweep_args(argc, argv, "ext10", "bench-ext10_chaos_sweep.json");
+  if (!args) return 2;
   bench::print_header(
       "EXT10", "correlated-failure chaos sweep (degraded-mode SLOs)",
       "under trench cuts, flap storms, brownouts and controller restarts the "
@@ -184,7 +174,7 @@ int main(int argc, char** argv) {
         "restart_cold", "restart_ckpt", "combined", "random"}) {
     arms.push_back(Arm{name, arm_config(name), {}});
   }
-  bench::run_pool(arms.size(), sweep_workers, [&arms](std::size_t i) {
+  bench::run_pool(arms.size(), args->workers, [&arms](std::size_t i) {
     ChaosScenario scenario(arms[i].cfg);
     arms[i].result = scenario.run();
   });
@@ -223,7 +213,7 @@ int main(int argc, char** argv) {
     table.cell(ok ? "ok" : "VIOLATED");
   }
   table.print();
-  emit_json(arms, json_path);
+  emit_json(arms, args->json_path);
 
   // Invariant violations fail the bench (bench-smoke runs this).
   for (const Arm& a : arms) {

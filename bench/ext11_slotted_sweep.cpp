@@ -17,8 +17,6 @@
 // must beat the carve on background slowdown at greater-or-equal hot
 // speedup.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -73,15 +71,6 @@ struct SweepPoint {
   SlottedScenarioResult packet;
   SlottedScenarioResult carve;
   SlottedScenarioResult slotted;
-
-  [[nodiscard]] double hot_speedup_pct(const SlottedScenarioResult& r) const {
-    const double off = packet.hot.job_completion.us();
-    return off > 0 ? (off - r.hot.job_completion.us()) / off * 100.0 : 0.0;
-  }
-  [[nodiscard]] double background_slowdown_pct(const SlottedScenarioResult& r) const {
-    const double off = packet.background.job_completion.us();
-    return off > 0 ? (r.background.job_completion.us() - off) / off * 100.0 : 0.0;
-  }
 };
 
 void emit_regime(FILE* f, const char* name, const SlottedScenarioResult& r) {
@@ -120,6 +109,8 @@ void emit_json(const std::vector<SweepPoint>& points, const std::string& path) {
   std::fprintf(f, "{\n  \"benchmark\": \"ext11_slotted_sweep\",\n  \"points\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const SweepPoint& p = points[i];
+    const bench::Crossover carve = bench::crossover(p.packet, p.carve);
+    const bench::Crossover slotted = bench::crossover(p.packet, p.slotted);
     std::fprintf(f, "    {\"arm\": \"%s\", \"loss_prob\": %g,\n", arm_name(p.arm),
                  p.loss);
     emit_regime(f, "packet", p.packet);
@@ -132,8 +123,8 @@ void emit_json(const std::vector<SweepPoint>& points, const std::string& path) {
                  "\"carve_background_slowdown_pct\": %.2f, "
                  "\"slotted_hot_speedup_pct\": %.2f, "
                  "\"slotted_background_slowdown_pct\": %.2f}%s\n",
-                 p.hot_speedup_pct(p.carve), p.background_slowdown_pct(p.carve),
-                 p.hot_speedup_pct(p.slotted), p.background_slowdown_pct(p.slotted),
+                 carve.hot_speedup_pct, carve.background_slowdown_pct,
+                 slotted.hot_speedup_pct, slotted.background_slowdown_pct,
                  i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -145,21 +136,13 @@ void emit_json(const std::vector<SweepPoint>& points, const std::string& path) {
 
 int main(int argc, char** argv) {
   bench::quiet_logs();
-  std::string json_path = "bench-ext11_slotted_sweep.json";
   // --workers N: sweep-level parallelism — the 18 scenario cells (6
   // points x packet/carve/slotted) are independent simulations, so the
   // arm pool runs them on N threads and the table/JSON are assembled
   // serially afterwards in the fixed sweep order: output is
   // byte-identical for every N.
-  int sweep_workers = 1;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--workers") == 0) sweep_workers = std::atoi(argv[i + 1]);
-  }
-  if (sweep_workers < 1) {
-    std::fprintf(stderr, "ext11: --workers must be >= 1\n");
-    return 2;
-  }
+  const auto args = bench::parse_sweep_args(argc, argv, "ext11", "bench-ext11_slotted_sweep.json");
+  if (!args) return 2;
   bench::print_header(
       "EXT11", "carve vs. slotted vs. packet transport regimes (SIGCOMM §2, TDMA arm)",
       "periodic slot schedules match the carve's hot-pair speedup while their "
@@ -183,7 +166,7 @@ int main(int argc, char** argv) {
   // k, and each writes only its own result slot.
   static constexpr SlottedRegime kRegimes[] = {SlottedRegime::kPacket, SlottedRegime::kCarve,
                                                SlottedRegime::kSlotted};
-  bench::run_pool(points.size() * 3, sweep_workers, [&points](std::size_t c) {
+  bench::run_pool(points.size() * 3, args->workers, [&points](std::size_t c) {
     SweepPoint& p = points[c / 3];
     const SlottedRegime regime = kRegimes[c % 3];
     SlottedScenarioResult& slot = regime == SlottedRegime::kPacket  ? p.packet
@@ -197,6 +180,8 @@ int main(int argc, char** argv) {
                           "hot slot (us)", "carve up %", "slot up %", "bg pkt (us)",
                           "carve bg down %", "slot bg down %", "expiries", "splits"});
   for (SweepPoint& p : points) {
+    const bench::Crossover carve = bench::crossover(p.packet, p.carve);
+    const bench::Crossover slotted = bench::crossover(p.packet, p.slotted);
     char buf[32];
     table.row().cell(arm_name(p.arm));
     std::snprintf(buf, sizeof buf, "%g", p.loss);
@@ -207,15 +192,15 @@ int main(int argc, char** argv) {
     table.cell(buf);
     std::snprintf(buf, sizeof buf, "%.1f", p.slotted.hot.job_completion.us());
     table.cell(buf);
-    std::snprintf(buf, sizeof buf, "%.1f", p.hot_speedup_pct(p.carve));
+    std::snprintf(buf, sizeof buf, "%.1f", carve.hot_speedup_pct);
     table.cell(buf);
-    std::snprintf(buf, sizeof buf, "%.1f", p.hot_speedup_pct(p.slotted));
+    std::snprintf(buf, sizeof buf, "%.1f", slotted.hot_speedup_pct);
     table.cell(buf);
     std::snprintf(buf, sizeof buf, "%.1f", p.packet.background.job_completion.us());
     table.cell(buf);
-    std::snprintf(buf, sizeof buf, "%.1f", p.background_slowdown_pct(p.carve));
+    std::snprintf(buf, sizeof buf, "%.1f", carve.background_slowdown_pct);
     table.cell(buf);
-    std::snprintf(buf, sizeof buf, "%.1f", p.background_slowdown_pct(p.slotted));
+    std::snprintf(buf, sizeof buf, "%.1f", slotted.background_slowdown_pct);
     table.cell(buf);
     std::snprintf(buf, sizeof buf, "%llu",
                   static_cast<unsigned long long>(p.slotted.slot_expirations));
@@ -225,6 +210,6 @@ int main(int argc, char** argv) {
     table.cell(buf);
   }
   table.print();
-  emit_json(points, json_path);
+  emit_json(points, args->json_path);
   return 0;
 }

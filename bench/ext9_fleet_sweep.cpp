@@ -13,8 +13,6 @@
 // background traffic sharing the residual degrades — both quantified
 // in the emitted JSON (--json <path>; bench-smoke uploads it).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -58,15 +56,6 @@ struct SweepPoint {
   double weight;
   SkewedScenarioResult packet;    // reservations off
   SkewedScenarioResult reserved;  // reservations on
-
-  [[nodiscard]] double hot_speedup_pct() const {
-    const double off = packet.hot.job_completion.us();
-    return off > 0 ? (off - reserved.hot.job_completion.us()) / off * 100.0 : 0.0;
-  }
-  [[nodiscard]] double background_slowdown_pct() const {
-    const double off = packet.background.job_completion.us();
-    return off > 0 ? (reserved.background.job_completion.us() - off) / off * 100.0 : 0.0;
-  }
 };
 
 void emit_arm(FILE* f, const char* name, const SkewedScenarioResult& r) {
@@ -96,6 +85,7 @@ void emit_json(const std::vector<SweepPoint>& points, const std::string& path) {
   std::fprintf(f, "{\n  \"benchmark\": \"ext9_fleet_sweep\",\n  \"points\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const SweepPoint& p = points[i];
+    const bench::Crossover x = bench::crossover(p.packet, p.reserved);
     std::fprintf(f,
                  "    {\"scenario\": \"%s\", \"loss_prob\": %g, "
                  "\"utilization_weight\": %g,\n",
@@ -104,8 +94,7 @@ void emit_json(const std::vector<SweepPoint>& points, const std::string& path) {
     std::fprintf(f, ",\n");
     emit_arm(f, "reserved", p.reserved);
     std::fprintf(f, ",\n      \"hot_speedup_pct\": %.2f, \"background_slowdown_pct\": %.2f}%s\n",
-                 p.hot_speedup_pct(), p.background_slowdown_pct(),
-                 i + 1 < points.size() ? "," : "");
+                 x.hot_speedup_pct, x.background_slowdown_pct, i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -116,21 +105,13 @@ void emit_json(const std::vector<SweepPoint>& points, const std::string& path) {
 
 int main(int argc, char** argv) {
   bench::quiet_logs();
-  std::string json_path = "bench-ext9_fleet_sweep.json";
   // --workers N: sweep-level parallelism — the 24 scenario arms (12
   // points x packet/reserved) are independent simulations, so the arm
   // pool runs them on N threads and the table/JSON are assembled
   // serially afterwards in the fixed sweep order: output is
   // byte-identical for every N.
-  int sweep_workers = 1;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--workers") == 0) sweep_workers = std::atoi(argv[i + 1]);
-  }
-  if (sweep_workers < 1) {
-    std::fprintf(stderr, "ext9: --workers must be >= 1\n");
-    return 2;
-  }
+  const auto args = bench::parse_sweep_args(argc, argv, "ext9", "bench-ext9_fleet_sweep.json");
+  if (!args) return 2;
   bench::print_header(
       "EXT9", "fleet-scope circuit vs. packet regimes (SIGCOMM §2, at fleet scale)",
       "reserving capacity for a persistently hot rack pair improves its job "
@@ -157,7 +138,7 @@ int main(int argc, char** argv) {
 
   // Run every arm on the pool: arm 2i is point i's packet arm, 2i+1
   // its reserved arm, and each writes only its own result slot.
-  bench::run_pool(points.size() * 2, sweep_workers, [&points](std::size_t a) {
+  bench::run_pool(points.size() * 2, args->workers, [&points](std::size_t a) {
     SweepPoint& p = points[a / 2];
     const bool reservations = a % 2 == 1;
     (reservations ? p.reserved : p.packet) = run_arm(p.kind, p.loss, p.weight, reservations);
@@ -168,6 +149,7 @@ int main(int argc, char** argv) {
                           "hot speedup %", "bg off (us)", "bg on (us)", "bg slowdown %",
                           "promoted"});
   for (SweepPoint& p : points) {
+    const bench::Crossover x = bench::crossover(p.packet, p.reserved);
     char buf[32];
     table.row().cell(kind_name(p.kind));
     std::snprintf(buf, sizeof buf, "%g", p.loss);
@@ -178,19 +160,19 @@ int main(int argc, char** argv) {
     table.cell(buf);
     std::snprintf(buf, sizeof buf, "%.1f", p.reserved.hot.job_completion.us());
     table.cell(buf);
-    std::snprintf(buf, sizeof buf, "%.1f", p.hot_speedup_pct());
+    std::snprintf(buf, sizeof buf, "%.1f", x.hot_speedup_pct);
     table.cell(buf);
     std::snprintf(buf, sizeof buf, "%.1f", p.packet.background.job_completion.us());
     table.cell(buf);
     std::snprintf(buf, sizeof buf, "%.1f", p.reserved.background.job_completion.us());
     table.cell(buf);
-    std::snprintf(buf, sizeof buf, "%.1f", p.background_slowdown_pct());
+    std::snprintf(buf, sizeof buf, "%.1f", x.background_slowdown_pct);
     table.cell(buf);
     std::snprintf(buf, sizeof buf, "%llu",
                   static_cast<unsigned long long>(p.reserved.promotions));
     table.cell(buf);
   }
   table.print();
-  emit_json(points, json_path);
+  emit_json(points, args->json_path);
   return 0;
 }

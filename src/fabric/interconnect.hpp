@@ -21,19 +21,24 @@
 // repricing hook) bump the version, so cached routes are invalidated
 // exactly when the graph or its prices change.
 //
-// Circuit-style capacity can be carved on top of the packetized
-// spine: reserve(src, dst, fraction) pins the current cheapest route
-// for a (rack, rack) pair and dedicates `fraction` of every crossed
-// link's capacity — in the direction of travel only — to that pair.
-// Packets sent under the reservation's versioned handle serialize on
-// the reservation's private per-hop FIFO at the carved rate,
-// bypassing the shared FIFO's contention, while unreserved traffic
-// sees the link's residual rate (rate × (1 − reserved fraction)).
-// Reservations survive repricing (the route is pinned) but are torn
-// down when any crossed link fails — their traffic falls back to the
-// shared residual via the stale-handle check. With no reservations
-// configured the shared path is arithmetically identical to the
-// pre-reservation spine: the packetized default is untouched.
+// Capacity can be claimed on top of the packetized spine. A claim
+// pins the current cheapest route for a (rack, rack) pair and takes a
+// share of every crossed link-direction (in the direction of travel
+// only) under one of two disciplines:
+//  - a rate share, reserve(src, dst, fraction): the pair's packets
+//    serialize on the claim's private per-hop FIFO at fraction × rate
+//    — the fleet-scale circuit;
+//  - a time share, reserve_slots(src, dst, period, duty): the pair
+//    owns `duty` of every `period` calendar slots and its packets
+//    serialize at the full rate inside them — collision-free by the
+//    SlotCalendar's admission rule — and the claim lapses after an
+//    inactivity lease.
+// Either way the shared FIFO serializes the residual, rate × (1 −
+// rate-shared − time-shared fraction). Claims survive repricing (the
+// route is pinned) but are torn down when any crossed link fails;
+// their holders' versioned handles go stale and the traffic falls
+// back to the shared residual. With no claims the shared path is
+// arithmetically identical to the unclaimed spine.
 //
 // Metrics land in the owning registry under "spine.*", including
 // per-link packet counters ("spine.link3.packets") the fleet
@@ -69,33 +74,37 @@ struct RackNode {
 
 using SpineLinkId = std::uint32_t;
 
-/// Versioned handle to a spine circuit reservation. Slots are
-/// recycled; the generation detects a handle that outlived its
-/// reservation (released, or preempted by a link failure) — stale
-/// handles are safely inert everywhere they are accepted.
-struct SpineReservationHandle {
+/// How a claim shares its route's link-directions with everyone else.
+enum class SpineDiscipline : std::uint8_t {
+  /// A fixed fraction of the rate on a private per-hop FIFO (a carve).
+  kRateShare = 0,
+  /// Owned calendar slots at the full rate (a slot schedule).
+  kTimeShare = 1,
+};
+
+/// Versioned handle to a spine claim. Slots are recycled; the
+/// generation detects a handle that outlived its claim (released,
+/// expired, or preempted by a link failure) — stale handles are
+/// safely inert everywhere they are accepted. The id's top bit names
+/// the discipline, the rest index that discipline's claim table.
+struct SpineClaimHandle {
   static constexpr std::uint32_t kInvalidId = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kTimeShareBit = 0x80000000u;
   std::uint32_t id = kInvalidId;
   std::uint32_t generation = 0;
 
   [[nodiscard]] bool valid() const { return id != kInvalidId; }
-  friend bool operator==(const SpineReservationHandle&,
-                         const SpineReservationHandle&) = default;
+  [[nodiscard]] SpineDiscipline discipline() const {
+    return (id & kTimeShareBit) != 0 ? SpineDiscipline::kTimeShare
+                                     : SpineDiscipline::kRateShare;
+  }
+  friend bool operator==(const SpineClaimHandle&, const SpineClaimHandle&) = default;
 };
 
-/// Versioned handle to a spine slot schedule (the TDMA regime's
-/// counterpart of SpineReservationHandle): same recycled-slot +
-/// generation staleness contract — released, expired, or preempted
-/// schedules leave holders with an inert handle.
-struct SpineScheduleHandle {
-  static constexpr std::uint32_t kInvalidId = 0xFFFFFFFFu;
-  std::uint32_t id = kInvalidId;
-  std::uint32_t generation = 0;
-
-  [[nodiscard]] bool valid() const { return id != kInvalidId; }
-  friend bool operator==(const SpineScheduleHandle&,
-                         const SpineScheduleHandle&) = default;
-};
+/// Discipline-named spellings of the one handle type, for callers that
+/// hold a carve or a slot schedule by name (rsfbench does).
+using SpineReservationHandle = SpineClaimHandle;
+using SpineScheduleHandle = SpineClaimHandle;
 
 struct SpineLinkParams {
   /// The two gateway endpoints. a.rack != b.rack.
@@ -207,128 +216,88 @@ class Interconnect {
       std::uint32_t src_rack, std::uint32_t dst_rack,
       const std::vector<SpineLinkId>& avoid) const;
 
-  // --- circuit reservations ---
+  // --- claims: rate shares (carves) and time shares (slot schedules) ---
 
-  /// Carve `fraction` (0 < fraction < 1) of per-direction capacity for
-  /// the pair (src_rack, dst_rack) along the current cheapest route,
-  /// which is pinned for the reservation's lifetime. Fails (nullopt)
-  /// when src == dst, no route exists, the pair already holds a
-  /// reservation, or any crossed direction lacks the headroom (the
-  /// total carved fraction per direction must stay below 1). Bumps the
-  /// reservation version so transports re-check their pair bindings.
-  std::optional<SpineReservationHandle> reserve(std::uint32_t src_rack,
-                                                std::uint32_t dst_rack,
-                                                double bandwidth_fraction);
+  /// Rate share: carve `fraction` (0 < fraction < 1) of per-direction
+  /// capacity for the pair (src_rack, dst_rack) along the current
+  /// cheapest route. Fails (nullopt) when src == dst, no route exists,
+  /// the pair already holds a rate share, or any crossed direction
+  /// lacks the headroom ("spine.reservations_refused" counts only
+  /// that last case).
+  std::optional<SpineClaimHandle> reserve(std::uint32_t src_rack, std::uint32_t dst_rack,
+                                          double bandwidth_fraction);
 
-  /// Tear the reservation down and return its capacity to the shared
-  /// residual. Stale handles are a no-op (release is idempotent and
-  /// races with failure-driven preemption are benign).
-  void release(SpineReservationHandle handle);
+  /// Time share: book `duty` owned offsets per `period` slots (period
+  /// divides SlotCalendar::kFrameSlots) on every link-direction of the
+  /// cheapest current route, or the cheapest avoiding `avoid`'s links
+  /// when given (the multi-path split). A pair may hold several.
+  /// Admission is all-or-nothing: no route, no headroom, or any
+  /// third-party calendar overlap refuses the whole booking (nullopt,
+  /// "spine.slot_refusals") and leaves no partial claim. The claim
+  /// expires on its own after slot_timeout() without a slotted send.
+  std::optional<SpineClaimHandle> reserve_slots(std::uint32_t src_rack,
+                                                std::uint32_t dst_rack, int period, int duty,
+                                                const std::vector<SpineLinkId>& avoid = {});
 
-  /// True while `handle` names a live reservation (same generation).
-  [[nodiscard]] bool reservation_active(SpineReservationHandle handle) const;
+  /// Tear the claim down and return its share (and slots) to the
+  /// shared residual. Stale handles are a no-op (idempotent; races
+  /// with expiry and failure-driven preemption are benign).
+  void release(SpineClaimHandle handle);
 
-  /// The live reservation for (src_rack, dst_rack), if any.
-  [[nodiscard]] std::optional<SpineReservationHandle> find_reservation(
-      std::uint32_t src_rack, std::uint32_t dst_rack) const;
+  /// True while `handle` names a live claim (same generation).
+  [[nodiscard]] bool claim_active(SpineClaimHandle handle) const;
 
-  /// The pinned route of a live reservation (crossing order).
-  /// Throws on stale handles — check reservation_active first.
-  [[nodiscard]] const std::vector<SpineLinkId>& reservation_route(
-      SpineReservationHandle handle) const;
-  [[nodiscard]] double reservation_fraction(SpineReservationHandle handle) const;
+  /// The live claims of (src_rack, dst_rack) under `discipline`, in
+  /// booking order (at most one rate share per pair).
+  [[nodiscard]] std::vector<SpineClaimHandle> find_claims(std::uint32_t src_rack,
+                                                          std::uint32_t dst_rack,
+                                                          SpineDiscipline discipline) const;
 
-  /// Live reservations right now.
-  [[nodiscard]] std::size_t reservation_count() const {
-    return reservations_.size() - reservations_.free_count();
+  /// A live claim's pinned route (crossing order), capacity share
+  /// (the carved fraction, or duty / period) and owned slot set (0 for
+  /// a rate share). Throw on stale handles — check claim_active first.
+  [[nodiscard]] const std::vector<SpineLinkId>& claim_route(SpineClaimHandle handle) const;
+  [[nodiscard]] double claim_fraction(SpineClaimHandle handle) const;
+  [[nodiscard]] SlotMask claim_mask(SpineClaimHandle handle) const;
+
+  /// Live claims under `discipline` right now.
+  [[nodiscard]] std::size_t claim_count(SpineDiscipline discipline) const {
+    const auto& pool = pools_[static_cast<int>(discipline)];
+    return pool.size() - pool.free_count();
   }
 
-  /// Monotonic version of the reservation table: bumped by reserve(),
-  /// release(), and failure-driven preemption. Transports poll it to
-  /// adopt or drop a pair's reservation without a per-packet lookup.
-  /// Stays 0 while reservations are never used.
-  [[nodiscard]] std::uint64_t reservation_version() const { return reservation_version_; }
+  /// Monotonic version of one discipline's claim table: bumped by
+  /// admission, release, expiry and failure-driven preemption.
+  /// Transports poll it to adopt or drop a pair's claims without a
+  /// per-packet lookup; it stays 0 while the discipline is unused.
+  [[nodiscard]] std::uint64_t claim_version(SpineDiscipline discipline) const {
+    return claim_version_[static_cast<int>(discipline)];
+  }
 
-  /// Fraction of direction (`id`, leaving `from_rack`) currently
-  /// carved out by reservations.
-  [[nodiscard]] double reserved_fraction(SpineLinkId id, std::uint32_t from_rack) const;
+  /// Fraction of direction (`id`, leaving `from_rack`) currently held
+  /// by claims under `discipline`.
+  [[nodiscard]] double claimed_fraction(SpineLinkId id, std::uint32_t from_rack,
+                                        SpineDiscipline discipline) const;
 
-  /// The rate shared (unreserved) traffic actually sees on direction
-  /// (`id`, leaving `from_rack`): the nameplate rate minus every
-  /// carve crossing it — rate × (1 − reserved_fraction). This is what
-  /// the FleetController prices against; with nothing carved it is
-  /// exactly the nameplate rate.
+  /// The rate shared (unclaimed) traffic actually sees on direction
+  /// (`id`, leaving `from_rack`): rate × (1 − rate-shared − time-shared
+  /// fraction). This is what the FleetController prices against; with
+  /// nothing claimed it is exactly the nameplate rate.
   [[nodiscard]] phy::DataRate residual_rate(SpineLinkId id, std::uint32_t from_rack) const;
-
-  // --- slot schedules (the TDMA regime) ---
 
   /// Wall-clock length of one calendar slot; slot s of the repeating
   /// frame covers [s·d, (s+1)·d) modulo kFrameSlots·d. Changing it
-  /// mid-run is refused while any schedule is live (booked slot sets
+  /// mid-run is refused while any time share is live (booked slot sets
   /// would silently shift under their owners).
   void set_slot_duration(rsf::sim::SimTime d);
   [[nodiscard]] rsf::sim::SimTime slot_duration() const { return slot_duration_; }
 
-  /// Inactivity window after which a schedule self-expires: a pair
+  /// Inactivity window after which a time share self-expires: a pair
   /// that stopped sending returns its slots without controller help
-  /// (each slotted send renews the lease). Applies to schedules booked
+  /// (each slotted send renews the lease). Applies to claims booked
   /// after the call.
   void set_slot_timeout(rsf::sim::SimTime timeout);
   [[nodiscard]] rsf::sim::SimTime slot_timeout() const { return slot_timeout_; }
-
-  /// Book a periodic slot schedule for (src_rack, dst_rack): `duty`
-  /// owned offsets per `period` slots (period divides
-  /// SlotCalendar::kFrameSlots) on every link-direction of the pinned
-  /// route — the cheapest current route, or the cheapest avoiding
-  /// `avoid`'s links when given (the multi-path split). Admission is
-  /// all-or-nothing through the SlotCalendar: any third-party overlap
-  /// on any crossed direction refuses the whole booking (nullopt,
-  /// "spine.slot_refusals") and leaves no partial claim. A booked
-  /// schedule subtracts duty/period from every crossed direction's
-  /// shared residual and expires on its own after slot_timeout() of
-  /// inactivity. Bumps the schedule version.
-  std::optional<SpineScheduleHandle> reserve_slots(
-      std::uint32_t src_rack, std::uint32_t dst_rack, int period, int duty,
-      const std::vector<SpineLinkId>& avoid = {});
-
-  /// Tear the schedule down and return its slots and residual
-  /// fraction. Stale handles are a no-op (idempotent; races with
-  /// expiry and failure-driven preemption are benign).
-  void release_slots(SpineScheduleHandle handle);
-
-  /// True while `handle` names a live schedule (same generation).
-  [[nodiscard]] bool schedule_active(SpineScheduleHandle handle) const;
-
-  /// Every live schedule of (src_rack, dst_rack), booking order — one
-  /// pair may hold several (the multi-path split books one per route).
-  [[nodiscard]] std::vector<SpineScheduleHandle> find_schedules(
-      std::uint32_t src_rack, std::uint32_t dst_rack) const;
-
-  /// The pinned route / owned slot set / capacity share of a live
-  /// schedule. Throw on stale handles — check schedule_active first.
-  [[nodiscard]] const std::vector<SpineLinkId>& schedule_route(
-      SpineScheduleHandle handle) const;
-  [[nodiscard]] SlotMask schedule_mask(SpineScheduleHandle handle) const;
-  [[nodiscard]] double schedule_fraction(SpineScheduleHandle handle) const;
-
-  /// Live schedules right now.
-  [[nodiscard]] std::size_t schedule_count() const {
-    return schedules_.size() - schedules_.free_count();
-  }
-
-  /// Monotonic version of the schedule table: bumped by
-  /// reserve_slots(), release_slots(), expiry, and failure-driven
-  /// preemption. Transports poll it to adopt or drop a pair's
-  /// schedules without a per-packet lookup. Stays 0 while slot
-  /// schedules are never used.
-  [[nodiscard]] std::uint64_t schedule_version() const { return schedule_version_; }
-
-  /// Fraction of direction (`id`, leaving `from_rack`) currently owned
-  /// by slot schedules (the sum of their duty/period shares).
-  [[nodiscard]] double slotted_fraction(SpineLinkId id, std::uint32_t from_rack) const;
-
-  /// The slot-admission ledger (tests assert occupancy against it).
-  [[nodiscard]] const SlotCalendar& slot_calendar() const { return calendar_; }
 
   // --- per-pair demand (the controller's promotion input) ---
 
@@ -359,27 +328,19 @@ class Interconnect {
   /// at arrival either way. Returns false (no callback) when the link
   /// is down.
   ///
-  /// When `reservation` is live and its pinned route crosses `id`
-  /// leaving `from_rack`, the packet serializes on the reservation's
-  /// private per-hop FIFO at the carved rate instead of the shared
-  /// residual FIFO. A stale or foreign handle falls back to the
-  /// shared residual — preempted traffic degrades, never errors.
+  /// When `claim` is live and its pinned route crosses `id` leaving
+  /// `from_rack`, the packet rides the claim: a rate share serializes
+  /// it on the claim's private per-hop FIFO at the carved rate; a time
+  /// share waits for the pair's next owned slot on that hop, serializes
+  /// at the full rate inside it, and renews the claim's lease. A stale
+  /// or foreign handle falls back to the shared residual — preempted
+  /// or expired traffic degrades, never errors.
   bool send_packet(SpineLinkId id, std::uint32_t from_rack, phy::DataSize size,
-                   SpineReservationHandle reservation, PacketCallback cb);
+                   SpineClaimHandle claim, PacketCallback cb);
   bool send_packet(SpineLinkId id, std::uint32_t from_rack, phy::DataSize size,
                    PacketCallback cb) {
-    return send_packet(id, from_rack, size, SpineReservationHandle{}, std::move(cb));
+    return send_packet(id, from_rack, size, SpineClaimHandle{}, std::move(cb));
   }
-
-  /// Slotted variant: when `schedule` is live and its pinned route
-  /// crosses `id` leaving `from_rack`, the packet waits for the
-  /// pair's next owned calendar slot on that hop and serializes at the
-  /// full link rate inside it — collision-free by the calendar's
-  /// admission rule — and the send renews the schedule's inactivity
-  /// lease. A stale or foreign handle falls back to the shared
-  /// residual: expired or preempted traffic degrades, never errors.
-  bool send_packet(SpineLinkId id, std::uint32_t from_rack, phy::DataSize size,
-                   SpineScheduleHandle schedule, PacketCallback cb);
 
   /// Bulk store-and-forward transfer: the whole payload occupies the
   /// direction for its serialization time. Comparison baseline for
@@ -409,26 +370,32 @@ class Interconnect {
     rsf::sim::SimTime busy_total = rsf::sim::SimTime::zero();
     std::uint64_t packets = 0;
     std::uint64_t drops = 0;
-    /// Capacity carved out by reservations crossing this direction.
-    /// The shared FIFO serializes at rate × (1 − reserved_fraction −
-    /// slotted_fraction); 0 keeps the arithmetic identical to the
-    /// unreserved spine.
-    double reserved_fraction = 0.0;
-    /// Capacity owned by slot schedules crossing this direction (the
-    /// sum of their duty/period shares). Same residual arithmetic as
-    /// reserved_fraction; 0 while slot schedules are unused.
-    double slotted_fraction = 0.0;
+    /// Capacity held by claims crossing this direction, per
+    /// discipline. The shared FIFO serializes at rate × (1 − [rate] −
+    /// [time]); 0 keeps the arithmetic identical to the unclaimed spine.
+    double claimed[2] = {0.0, 0.0};
   };
-  struct Reservation {
+  /// One pair's claim. Liveness and the stale-handle generation live
+  /// in the discipline's SlotPool.
+  struct Claim {
     std::uint32_t src_rack = 0;
     std::uint32_t dst_rack = 0;
+    /// The capacity share subtracted from every crossed direction's
+    /// shared residual: the carved fraction, or duty / period.
     double fraction = 0.0;
     /// Pinned route and, per hop, the direction index on that link
-    /// and the private FIFO's booking horizon. Liveness and the
-    /// stale-handle generation live in the SlotPool.
+    /// and the claim's private FIFO horizon (successive packets of the
+    /// pair queue behind each other, never against third parties).
     std::vector<SpineLinkId> route;
     std::vector<int> hop_dir;
     std::vector<rsf::sim::SimTime> hop_busy_until;
+    // --- time shares only ---
+    SlotCalendar::Handle booking;
+    SlotMask mask = 0;
+    /// Inactivity lease: bumped by every slotted send; the weak
+    /// expiry event tears the claim down when it goes stale.
+    rsf::sim::SimTime last_activity = rsf::sim::SimTime::zero();
+    rsf::sim::SimTime timeout = rsf::sim::SimTime::zero();
   };
   /// A shared-risk group's membership and its own up/down state. The
   /// group state tracks set_group_up calls only — individual
@@ -465,52 +432,41 @@ class Interconnect {
                                 rsf::sim::SimTime latency, phy::DataSize size);
   /// Book one serialization on the shared residual FIFO of (l, d).
   rsf::sim::SimTime occupy(SpineLink& l, int d, phy::DataSize size);
-  /// The shared send_packet tail: per-direction and per-link packet
-  /// counters, the loss draw, and the completion event. The ordering
-  /// (counters, then the RNG draw, then the scheduled callback) is
-  /// part of the determinism contract — every overload shares it.
+  /// The send_packet tail: per-direction and per-link packet counters,
+  /// the loss draw, and the completion event. The ordering (counters,
+  /// then the RNG draw, then the scheduled callback) is part of the
+  /// determinism contract.
   bool finish_packet(SpineLink& ml, int d, rsf::sim::SimTime arrival, PacketCallback cb);
-  [[nodiscard]] const Reservation* live_reservation(SpineReservationHandle h) const {
-    // SpineReservationHandle::kInvalidId is SlotPool's invalid index,
-    // so stale, foreign and never-valid handles all fail is_live.
-    return reservations_.get_live(h.id, h.generation);
-  }
-  /// Tear one reservation down and return its carve (shared by
-  /// release() and failure-driven preemption).
-  void teardown_reservation(std::uint32_t idx);
 
-  /// One pair's periodic slot schedule: a SlotCalendar booking plus
-  /// the pinned route, the per-hop slotted FIFO horizon, and the
-  /// inactivity lease. Liveness and the stale-handle generation live
-  /// in the SlotPool.
-  struct SlotSchedule {
-    std::uint32_t src_rack = 0;
-    std::uint32_t dst_rack = 0;
-    /// duty / period — the capacity share subtracted from every
-    /// crossed direction's shared residual while the schedule lives.
-    double fraction = 0.0;
-    SlotCalendar::Handle booking;
-    SlotMask mask = 0;
-    std::vector<SpineLinkId> route;
-    std::vector<int> hop_dir;
-    /// Per-hop booking horizon of the schedule's private slotted
-    /// FIFO (successive packets of the pair queue behind each other
-    /// inside their own slots, never against third parties).
-    std::vector<rsf::sim::SimTime> hop_busy_until;
-    /// Inactivity lease: bumped by every slotted send; the weak
-    /// expiry event tears the schedule down when it goes stale.
-    rsf::sim::SimTime last_activity = rsf::sim::SimTime::zero();
-    rsf::sim::SimTime timeout = rsf::sim::SimTime::zero();
-  };
-
-  [[nodiscard]] const SlotSchedule* live_schedule(SpineScheduleHandle h) const {
-    return schedules_.get_live(h.id, h.generation);
+  /// The admission both disciplines share: headroom on every crossed
+  /// direction (and, for a time share, the calendar's `duty` of
+  /// `period` slots), then the claim itself. Refusals leave no
+  /// partial state behind.
+  std::optional<SpineClaimHandle> admit(SpineDiscipline discipline, std::uint32_t src_rack,
+                                        std::uint32_t dst_rack, double fraction,
+                                        const std::optional<std::vector<SpineLinkId>>& route,
+                                        int period, int duty);
+  /// The claim table and index a handle names. kInvalidId indexes
+  /// past any table, so stale, foreign and never-valid handles all
+  /// miss in live_claim.
+  [[nodiscard]] static int table_of(SpineClaimHandle h) {
+    return static_cast<int>(h.discipline());
   }
-  /// Tear one schedule down and return its slots + residual share
-  /// (shared by release_slots(), expiry, and failure preemption).
-  void teardown_schedule(std::uint32_t idx);
-  /// Arm (or re-arm) the schedule's weak inactivity-expiry event.
-  void arm_schedule_expiry(std::uint32_t idx, std::uint32_t generation);
+  [[nodiscard]] static std::uint32_t index_of(SpineClaimHandle h) {
+    return h.id & ~SpineClaimHandle::kTimeShareBit;
+  }
+  [[nodiscard]] Claim* live_claim(SpineClaimHandle h) {
+    return pools_[table_of(h)].get_live(index_of(h), h.generation);
+  }
+  [[nodiscard]] const Claim* live_claim(SpineClaimHandle h) const {
+    return pools_[table_of(h)].get_live(index_of(h), h.generation);
+  }
+  [[nodiscard]] const Claim& checked_claim(SpineClaimHandle h) const;
+  /// Tear one claim down and return its share (shared by release(),
+  /// expiry and failure-driven preemption).
+  void teardown(int discipline, std::uint32_t idx);
+  /// Arm (or re-arm) a time share's weak inactivity-expiry event.
+  void arm_expiry(std::uint32_t idx, std::uint32_t generation);
   /// The earliest instant >= `from` inside a slot `mask` owns.
   [[nodiscard]] rsf::sim::SimTime next_owned_time(rsf::sim::SimTime from,
                                                   SlotMask mask) const;
@@ -532,16 +488,12 @@ class Interconnect {
   // stamp, so set_link_up / repricing cost one O(1) bump, not a walk.
   mutable std::uint64_t cache_version_ = 0;
   mutable std::map<std::uint64_t, std::optional<std::vector<SpineLinkId>>> route_cache_;
-  // Reservation table: a SlotPool whose per-slot generation makes
-  // recycled SpineReservationHandles detectably stale.
-  core::SlotPool<Reservation> reservations_;
-  std::map<std::uint64_t, std::uint32_t> reservation_by_pair_;
-  std::uint64_t reservation_version_ = 0;
-  // Slot-schedule table: same SlotPool staleness contract as the
-  // reservation table; a pair may hold several schedules (multi-path).
-  core::SlotPool<SlotSchedule> schedules_;
-  std::map<std::uint64_t, std::vector<std::uint32_t>> schedules_by_pair_;
-  std::uint64_t schedule_version_ = 0;
+  // Claim tables, indexed by discipline: a SlotPool whose per-slot
+  // generation makes recycled handles detectably stale, the per-pair
+  // index in booking order, and the table's version.
+  core::SlotPool<Claim> pools_[2];
+  std::map<std::uint64_t, std::vector<std::uint32_t>> by_pair_[2];
+  std::uint64_t claim_version_[2] = {0, 0};
   SlotCalendar calendar_;
   rsf::sim::SimTime slot_duration_ = rsf::sim::SimTime::microseconds(1);
   rsf::sim::SimTime slot_timeout_ = rsf::sim::SimTime::microseconds(150);
@@ -551,8 +503,9 @@ class Interconnect {
   std::uint64_t& packets_slot_;
   std::uint64_t& bytes_slot_;
   std::uint64_t& drops_slot_;
-  std::uint64_t& reserved_bytes_slot_;
-  std::uint64_t& slotted_bytes_slot_;
+  /// "spine.reserved_bytes" and "spine.slotted_bytes": bytes that rode
+  /// a claim, per discipline.
+  std::uint64_t* claimed_bytes_slot_[2];
   telemetry::Histogram& transfer_latency_;
   telemetry::Histogram& queue_delay_;
 };

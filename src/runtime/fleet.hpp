@@ -29,17 +29,18 @@
 // 1-shard fleet is behaviourally identical to a standalone
 // FabricRuntime.
 //
-// Spine circuit reservations compose on top of the packetized path:
-// every pump a flow re-checks (against the spine's reservation
-// version, 0 while reservations are unused) whether its (src, dst)
-// rack pair holds a live reservation; if so the flow pins the
-// reservation's route and tags its packets with the versioned handle,
-// so they ride the carved per-hop slices instead of the shared
-// residual FIFOs. Preemption (spine link failure) makes the handle
-// stale: in-flight packets fall back to the shared residual and the
-// next pump re-plans the shared route. Offered cross-rack load is
-// noted per (src, dst) pair at packetization time — the
-// FleetController's promotion input.
+// Spine claims compose on top of the packetized path: every pump a
+// flow re-checks (against the spine's two claim versions, 0 while
+// claims are unused) which claims its (src, dst) rack pair holds.
+// Packets ride the pair's time shares round-robin in booking order
+// when it holds any, else its rate share; a rate share also pins the
+// flow's shared route. Riding packets carry the claim's versioned
+// handle, so they use the claimed slices instead of the shared
+// residual FIFOs. Preemption (spine link failure) or expiry makes the
+// handle stale: in-flight packets fall back to the shared residual and
+// the next pump re-binds. Offered cross-rack load is noted per (src,
+// dst) pair at packetization time — the FleetController's promotion
+// input.
 //
 // Completed fleet flows recycle their dense flows_ slots through the
 // shared core::SlotPool (like Network::flows_): a slot returns when
@@ -253,19 +254,15 @@ class FleetRuntime {
     /// copy, per packet) and re-resolved when the spine version moves.
     std::shared_ptr<const std::vector<fabric::SpineLinkId>> route;
     std::uint64_t route_version = 0;
-    /// The pair's spine reservation, re-checked when the spine's
-    /// reservation version moves (it stays 0 while reservations are
-    /// never used, so unreserved fleets skip the whole branch).
-    fabric::SpineReservationHandle reservation;
-    std::uint64_t reservation_version = 0;
-    /// The pair's slot schedules and their pinned routes (the
-    /// multi-path split books several; packets round-robin across
-    /// them), re-checked when the spine's schedule version moves — it
-    /// stays 0 while slot schedules are never used, so unslotted
-    /// fleets skip that branch the same way.
-    std::vector<fabric::SpineScheduleHandle> schedules;
-    std::vector<std::shared_ptr<const std::vector<fabric::SpineLinkId>>> schedule_routes;
-    std::uint64_t schedule_version = 0;
+    /// The pair's spine claims: its rate share first, if any, then its
+    /// time shares in booking order, each with its pinned route
+    /// (copied once per re-read and shared by every packet riding it).
+    /// Re-read when either of the spine's claim versions moves; both
+    /// stay 0 while claims are never used, so unclaimed fleets skip
+    /// the branch.
+    std::vector<fabric::SpineClaimHandle> claims;
+    std::vector<std::shared_ptr<const std::vector<fabric::SpineLinkId>>> claim_routes;
+    std::uint64_t claim_versions[2] = {0, 0};
     /// Demand accounting resolved with the route: a stable slot into
     /// the spine's pair-demand map plus the route's hop count, so the
     /// per-packet byte·hop bump is a pointer add, not a map lookup.
@@ -288,12 +285,10 @@ class FleetRuntime {
     std::uint32_t flow_idx = 0;
     /// Generation of the flow slot at injection (stale-slot guard).
     std::uint64_t flow_gen = 0;
-    /// The flow's reservation at injection; a handle gone stale by
-    /// arrival (preemption) degrades to the shared residual.
-    fabric::SpineReservationHandle reservation;
-    /// The slot schedule this packet rides (valid() only when its flow
-    /// bound one at injection); same stale-handle degradation.
-    fabric::SpineScheduleHandle schedule;
+    /// The claim this packet rides (invalid when its flow held none at
+    /// injection); a handle gone stale by arrival (preemption, expiry)
+    /// degrades to the shared residual.
+    fabric::SpineClaimHandle claim;
     phy::DataSize size = phy::DataSize::zero();
     /// Spine links still ahead of the packet (from path[next_hop] on).
     /// Shared with the flow until a mid-flight re-plan clones it.

@@ -24,39 +24,48 @@ FleetController::FleetController(rsf::sim::Simulator* sim, fabric::Interconnect*
   if (config_.epoch <= SimTime::zero()) {
     throw std::invalid_argument("FleetController: non-positive epoch");
   }
-  if (config_.base_cost <= 0) {
+  // Written so NaN fails every check: a NaN weight or cost would
+  // reach set_link_cost, and a NaN half-life would feed NaN scores to
+  // the promotion sort's comparator.
+  if (!(config_.base_cost > 0) || !std::isfinite(config_.base_cost)) {
     throw std::invalid_argument("FleetController: non-positive base cost");
   }
-  if (config_.demand_half_life_epochs < 0) {
+  if (!(config_.utilization_weight >= 0) || !std::isfinite(config_.utilization_weight) ||
+      !(config_.backlog_weight_per_us >= 0) || !std::isfinite(config_.backlog_weight_per_us)) {
+    throw std::invalid_argument("FleetController: negative or non-finite cost weight");
+  }
+  if (!(config_.demand_half_life_epochs >= 0) ||
+      !std::isfinite(config_.demand_half_life_epochs)) {
     throw std::invalid_argument("FleetController: negative demand half-life");
   }
   const FleetReservationPolicy& rp = config_.reservations;
-  if (rp.enable) {
-    if (rp.fraction <= 0 || rp.fraction >= 1) {
-      throw std::invalid_argument("FleetController: reservation fraction outside (0, 1)");
-    }
-    if (rp.promote_after < 1 || rp.demote_after < 1) {
-      throw std::invalid_argument("FleetController: non-positive hysteresis epochs");
-    }
-  }
   const FleetSchedulePolicy& sp = config_.schedules;
-  if (sp.enable) {
-    // One circuit discipline per controller: a pair holding both a
-    // carve and a schedule would double-subtract from the shared
-    // residual and the policies' demotion logic would fight.
-    if (rp.enable) {
-      throw std::invalid_argument(
-          "FleetController: reservation and schedule policies are mutually exclusive");
-    }
-    if (sp.period < 1 || sp.period > fabric::SlotCalendar::kFrameSlots ||
-        fabric::SlotCalendar::kFrameSlots % sp.period != 0 || sp.duty < 1 ||
-        sp.duty > sp.period) {
-      throw std::invalid_argument("FleetController: invalid slot schedule shape");
-    }
-    if (sp.promote_after < 1 || sp.demote_after < 1) {
-      throw std::invalid_argument("FleetController: non-positive hysteresis epochs");
-    }
+  // One claim discipline per controller: a pair holding both a carve
+  // and a schedule would double-subtract from the shared residual and
+  // the policies' demotion logic would fight.
+  if (rp.enable && sp.enable) {
+    throw std::invalid_argument(
+        "FleetController: reservation and schedule policies are mutually exclusive");
   }
+  if (rp.enable && !(rp.fraction > 0 && rp.fraction < 1)) {
+    throw std::invalid_argument("FleetController: reservation fraction outside (0, 1)");
+  }
+  if (sp.enable &&
+      (sp.period < 1 || sp.period > fabric::SlotCalendar::kFrameSlots ||
+       fabric::SlotCalendar::kFrameSlots % sp.period != 0 || sp.duty < 1 ||
+       sp.duty > sp.period)) {
+    throw std::invalid_argument("FleetController: invalid slot schedule shape");
+  }
+  if (const FleetClaimPolicy* p = claim_policy();
+      p != nullptr && (p->promote_after < 1 || p->demote_after < 1)) {
+    throw std::invalid_argument("FleetController: non-positive hysteresis epochs");
+  }
+}
+
+const FleetClaimPolicy* FleetController::claim_policy() const {
+  if (config_.reservations.enable) return &config_.reservations;
+  if (config_.schedules.enable) return &config_.schedules;
+  return nullptr;
 }
 
 void FleetController::snapshot_busy() {
@@ -91,13 +100,12 @@ FleetControllerCheckpoint FleetController::checkpoint() const {
   ckpt.epochs = epochs_;
   ckpt.pairs.reserve(pair_state_.size());
   for (const auto& [key, st] : pair_state_) {
-    bool scheduled = false;
-    for (const fabric::SpineScheduleHandle h : st.sched) {
-      scheduled = scheduled || spine_->schedule_active(h);
+    bool claimed = false;
+    for (const fabric::SpineClaimHandle h : st.claims) {
+      claimed = claimed || spine_->claim_active(h);
     }
-    ckpt.pairs.push_back({key, st.last_bytes, st.score, st.hot_streak, st.idle_streak,
-                          st.handle.valid() && spine_->reservation_active(st.handle),
-                          scheduled});
+    ckpt.pairs.push_back(
+        {key, st.last_bytes, st.score, st.hot_streak, st.idle_streak, claimed});
   }
   return ckpt;
 }
@@ -114,47 +122,27 @@ void FleetController::restore(const FleetControllerCheckpoint& ckpt) {
     st.score = e.score;
     st.hot_streak = e.hot_streak;
     st.idle_streak = e.idle_streak;
-    // A reservation intent restores as a full promote streak: if the
-    // pair is still hot in the first post-restart epoch, the normal
-    // pass-2 admission re-earns the carve immediately; if it cooled
-    // during the outage, the streak resets to zero there and nothing
-    // is re-reserved. Handles are never resurrected.
-    if (e.reserved) {
-      st.hot_streak = std::max(st.hot_streak, config_.reservations.promote_after);
-    }
-    // Schedule intents restore the same way: a full promote streak,
-    // never a handle (the booked slots expired with the outage).
-    if (e.scheduled) {
-      st.hot_streak = std::max(st.hot_streak, config_.schedules.promote_after);
+    // A claim intent restores as a full promote streak: if the pair is
+    // still hot in the first post-restart epoch, the normal pass-2
+    // admission re-earns the claim immediately; if it cooled during
+    // the outage, the streak resets to zero there and nothing is
+    // re-claimed. Handles are never resurrected.
+    if (e.claimed && claim_policy() != nullptr) {
+      st.hot_streak = std::max(st.hot_streak, claim_policy()->promote_after);
     }
     pair_state_.emplace(e.key, st);
   }
 }
 
-std::size_t FleetController::release_reservations() {
+std::size_t FleetController::release_claims() {
   std::size_t released = 0;
   for (auto& [key, st] : pair_state_) {
-    if (!st.handle.valid() || !spine_->reservation_active(st.handle)) {
-      st.handle = {};
-      continue;
-    }
-    spine_->release(st.handle);
-    st.handle = {};
-    ++released;
-  }
-  promoted_ = 0;
-  return released;
-}
-
-std::size_t FleetController::release_schedules() {
-  std::size_t released = 0;
-  for (auto& [key, st] : pair_state_) {
-    for (const fabric::SpineScheduleHandle h : st.sched) {
-      if (!spine_->schedule_active(h)) continue;  // expired/preempted already
-      spine_->release_slots(h);
+    for (const fabric::SpineClaimHandle h : st.claims) {
+      if (!spine_->claim_active(h)) continue;  // expired/preempted already
+      spine_->release(h);
       ++released;
     }
-    st.sched.clear();
+    st.claims.clear();
   }
   promoted_ = 0;
   return released;
@@ -215,15 +203,58 @@ void FleetController::tick() {
   }
   last_max_util_ = max_util;
   util_series_.record(sim_->now(), max_util);
-  if (config_.reservations.enable) run_reservation_policy();
-  if (config_.schedules.enable) run_schedule_policy();
+  if (claim_policy() != nullptr) run_claim_policy();
   ++epochs_;
   counters_.add("fleet.epochs");
   next_tick_ = sim_->schedule_weak_after(config_.epoch, [this] { tick(); });
 }
 
-void FleetController::run_reservation_policy() {
-  const FleetReservationPolicy& rp = config_.reservations;
+bool FleetController::book_claims(std::uint32_t src, std::uint32_t dst, PairState& st) {
+  if (config_.reservations.enable) {
+    const auto h = spine_->reserve(src, dst, config_.reservations.fraction);
+    if (h) st.claims = {*h};
+    return h.has_value();
+  }
+  const FleetSchedulePolicy& sp = config_.schedules;
+  if (sp.multipath && sp.duty >= 2) {
+    // Rotor-style split: duty − duty/2 on the cheapest route, the
+    // rest on the cheapest route avoiding the primary's links, so
+    // parallel spine links carry the pair concurrently (the transport
+    // round-robins its packets across the legs).
+    const int secondary_duty = sp.duty / 2;
+    const int primary_duty = sp.duty - secondary_duty;
+    if (auto h1 = spine_->reserve_slots(src, dst, sp.period, primary_duty)) {
+      if (auto h2 = spine_->reserve_slots(src, dst, sp.period, secondary_duty,
+                                          spine_->claim_route(*h1))) {
+        st.claims = {*h1, *h2};
+        counters_.add("fleet.schedule_splits");
+        return true;
+      }
+      // No disjoint second route (or no capacity there): top the pair
+      // back up to the full duty on the default route.
+      if (auto h2 = spine_->reserve_slots(src, dst, sp.period, secondary_duty)) {
+        st.claims = {*h1, *h2};
+        return true;
+      }
+      // Even the top-up was refused; the reduced primary still beats
+      // nothing — keep it.
+      st.claims = {*h1};
+      return true;
+    }
+    return false;
+  }
+  if (auto h = spine_->reserve_slots(src, dst, sp.period, sp.duty)) {
+    st.claims = {*h};
+    return true;
+  }
+  return false;
+}
+
+void FleetController::run_claim_policy() {
+  const FleetClaimPolicy& p = *claim_policy();
+  const bool rate = config_.reservations.enable;
+  const std::size_t cap =
+      rate ? config_.reservations.max_reservations : config_.schedules.max_schedules;
   // Per-epoch multiplicative decay of the ranking score: 2^(−1/h)
   // halves a silent pair's score every h epochs, so ancient heat
   // stops outranking current heat. Half-life 0 disables decay (factor
@@ -231,6 +262,13 @@ void FleetController::run_reservation_policy() {
   const double decay = config_.demand_half_life_epochs > 0
                            ? std::exp2(-1.0 / config_.demand_half_life_epochs)
                            : 1.0;
+  const auto drop_claims = [this](PairState& st) {
+    for (const fabric::SpineClaimHandle h : st.claims) spine_->release(h);  // stale: no-op
+    st.claims.clear();
+    st.hot_streak = 0;
+    st.idle_streak = 0;
+    --promoted_;
+  };
   // Pass 1 — streaks and demotions. The demand map only ever grows,
   // so iterating it visits every pair this fleet has offered
   // cross-rack load for — including pairs that went silent this
@@ -242,162 +280,49 @@ void FleetController::run_reservation_policy() {
     const std::uint64_t delta = total_bytes - st.last_bytes;
     st.last_bytes = total_bytes;
     st.score = st.score * decay + static_cast<double>(delta);
-    if (st.handle.valid() && !spine_->reservation_active(st.handle)) {
-      // Preempted by a link failure since the last epoch: forget the
-      // handle; the pair re-earns its promotion on the new topology.
-      st.handle = {};
-      st.hot_streak = 0;
-      st.idle_streak = 0;
-      --promoted_;
+    // Claims can disappear on their own (failure preemption, lease
+    // expiry), possibly one leg of a split at a time: a pair that lost
+    // any claim forfeits the rest and re-earns its promotion on the
+    // new topology.
+    if (std::any_of(st.claims.begin(), st.claims.end(),
+                    [this](fabric::SpineClaimHandle h) { return !spine_->claim_active(h); })) {
+      drop_claims(st);
     }
-    if (!st.handle.valid()) {
-      st.hot_streak = delta >= rp.hot_bytes_per_epoch ? st.hot_streak + 1 : 0;
+    if (st.claims.empty()) {
+      st.hot_streak = delta >= p.hot_bytes_per_epoch ? st.hot_streak + 1 : 0;
       // Rank candidates by the decayed demand score, not this epoch's
       // delta: a long multi-hop pair fills its pipeline slower and
       // would lose an early delta race to a short-haul burst.
-      if (st.hot_streak >= rp.promote_after) candidates.emplace_back(st.score, key);
+      if (st.hot_streak >= p.promote_after) candidates.emplace_back(st.score, key);
       continue;
     }
-    st.idle_streak = delta <= rp.idle_bytes_per_epoch ? st.idle_streak + 1 : 0;
-    if (st.idle_streak >= rp.demote_after) {
-      spine_->release(st.handle);
-      st.handle = {};
-      st.hot_streak = 0;
-      st.idle_streak = 0;
-      --promoted_;
+    st.idle_streak = delta <= p.idle_bytes_per_epoch ? st.idle_streak + 1 : 0;
+    if (st.idle_streak >= p.demote_after) {
+      drop_claims(st);
       ++demotions_;
-      counters_.add("fleet.demotions");
+      counters_.add(rate ? "fleet.demotions" : "fleet.schedule_demotions");
     }
   }
   // Pass 2 — promotions, hottest first: when several pairs cleared
-  // the streak this epoch, the scarce carve goes to the largest
-  // decayed demand score (key ascending on ties — deterministic).
+  // the streak this epoch, the scarce claims go to the largest decayed
+  // demand score (key ascending on ties — deterministic).
   std::sort(candidates.begin(), candidates.end(),
             [](const auto& a, const auto& b) {
               return a.first != b.first ? a.first > b.first : a.second < b.second;
             });
   for (const auto& [score, key] : candidates) {
-    if (promoted_ >= rp.max_reservations) break;
+    if (promoted_ >= cap) break;
     PairState& st = pair_state_[key];
     const auto src = static_cast<std::uint32_t>(key >> 32);
     const auto dst = static_cast<std::uint32_t>(key & 0xFFFFFFFFu);
-    if (auto h = spine_->reserve(src, dst, rp.fraction)) {
-      st.handle = *h;
+    if (book_claims(src, dst, st)) {
       st.idle_streak = 0;
       ++promoted_;
       ++promotions_;
-      counters_.add("fleet.promotions");
+      counters_.add(rate ? "fleet.promotions" : "fleet.schedule_promotions");
     } else {
-      // No headroom (or no route): back off a full promote window
-      // instead of hammering the admission check every epoch.
-      st.hot_streak = 0;
-    }
-  }
-}
-
-bool FleetController::book_pair_schedules(std::uint32_t src, std::uint32_t dst,
-                                          PairState& st) {
-  const FleetSchedulePolicy& sp = config_.schedules;
-  if (sp.multipath && sp.duty >= 2) {
-    // Rotor-style split: duty − duty/2 on the cheapest route, the
-    // rest on the cheapest route avoiding the primary's links, so
-    // parallel spine links carry the pair concurrently (the transport
-    // round-robins its packets across the legs).
-    const int secondary_duty = sp.duty / 2;
-    const int primary_duty = sp.duty - secondary_duty;
-    if (auto h1 = spine_->reserve_slots(src, dst, sp.period, primary_duty)) {
-      if (auto h2 = spine_->reserve_slots(src, dst, sp.period, secondary_duty,
-                                          spine_->schedule_route(*h1))) {
-        st.sched = {*h1, *h2};
-        counters_.add("fleet.schedule_splits");
-        return true;
-      }
-      // No disjoint second route (or no capacity there): top the pair
-      // back up to the full duty on the default route.
-      if (auto h2 = spine_->reserve_slots(src, dst, sp.period, secondary_duty)) {
-        st.sched = {*h1, *h2};
-        return true;
-      }
-      // Even the top-up was refused; the reduced primary still beats
-      // nothing — keep it.
-      st.sched = {*h1};
-      return true;
-    }
-    return false;
-  }
-  if (auto h = spine_->reserve_slots(src, dst, sp.period, sp.duty)) {
-    st.sched = {*h};
-    return true;
-  }
-  return false;
-}
-
-void FleetController::run_schedule_policy() {
-  const FleetSchedulePolicy& sp = config_.schedules;
-  // The same two-pass machinery as the reservation policy, driving
-  // reserve_slots/release_slots instead of reserve/release. One extra
-  // wrinkle: schedules can disappear on their own (inactivity expiry,
-  // failure preemption), possibly one leg of a split at a time — a
-  // pair that lost any leg forfeits the rest and re-earns promotion.
-  const double decay = config_.demand_half_life_epochs > 0
-                           ? std::exp2(-1.0 / config_.demand_half_life_epochs)
-                           : 1.0;
-  std::vector<std::pair<double, std::uint64_t>> candidates;  // (score, key)
-  for (const auto& [key, total_bytes] : spine_->pair_demand()) {
-    PairState& st = pair_state_[key];
-    const std::uint64_t delta = total_bytes - st.last_bytes;
-    st.last_bytes = total_bytes;
-    st.score = st.score * decay + static_cast<double>(delta);
-    if (!st.sched.empty()) {
-      bool lost = false;
-      for (const fabric::SpineScheduleHandle h : st.sched) {
-        lost = lost || !spine_->schedule_active(h);
-      }
-      if (lost) {
-        for (const fabric::SpineScheduleHandle h : st.sched) {
-          if (spine_->schedule_active(h)) spine_->release_slots(h);
-        }
-        st.sched.clear();
-        st.hot_streak = 0;
-        st.idle_streak = 0;
-        --promoted_;
-      }
-    }
-    if (st.sched.empty()) {
-      st.hot_streak = delta >= sp.hot_bytes_per_epoch ? st.hot_streak + 1 : 0;
-      if (st.hot_streak >= sp.promote_after) candidates.emplace_back(st.score, key);
-      continue;
-    }
-    st.idle_streak = delta <= sp.idle_bytes_per_epoch ? st.idle_streak + 1 : 0;
-    if (st.idle_streak >= sp.demote_after) {
-      for (const fabric::SpineScheduleHandle h : st.sched) {
-        if (spine_->schedule_active(h)) spine_->release_slots(h);
-      }
-      st.sched.clear();
-      st.hot_streak = 0;
-      st.idle_streak = 0;
-      --promoted_;
-      ++demotions_;
-      counters_.add("fleet.schedule_demotions");
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) {
-              return a.first != b.first ? a.first > b.first : a.second < b.second;
-            });
-  for (const auto& [score, key] : candidates) {
-    if (promoted_ >= sp.max_schedules) break;
-    PairState& st = pair_state_[key];
-    const auto src = static_cast<std::uint32_t>(key >> 32);
-    const auto dst = static_cast<std::uint32_t>(key & 0xFFFFFFFFu);
-    if (book_pair_schedules(src, dst, st)) {
-      st.idle_streak = 0;
-      ++promoted_;
-      ++promotions_;
-      counters_.add("fleet.schedule_promotions");
-    } else {
-      // No slots anywhere: back off a full promote window instead of
-      // hammering the calendar every epoch.
+      // No headroom, no route or no slots: back off a full promote
+      // window instead of hammering admission every epoch.
       st.hot_streak = 0;
     }
   }

@@ -236,7 +236,9 @@ void ChaosScenario::schedule_probe() {
   fleet_->sim().schedule_weak_after(epoch, [this] {
     if (!probing_) return;
     ++probe_epochs_;
-    if (fleet_->spine().find_reservation(kHotSrcRack, kHotDstRack).has_value()) {
+    if (!fleet_->spine()
+             .find_claims(kHotSrcRack, kHotDstRack, fabric::SpineDiscipline::kRateShare)
+             .empty()) {
       tally_.reservation_relearned = true;
       tally_.relearn_epochs = probe_epochs_;
       probing_ = false;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -225,6 +227,8 @@ TEST_F(SpineFixture, DownLinkRefusesPacketsAndTransfers) {
   EXPECT_EQ(spine.counters().get("spine.packets"), 0u);
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 TEST_F(SpineFixture, RejectsBadLinkParams) {
   SpineLinkParams same_rack;
   same_rack.a = {0, 0};
@@ -248,8 +252,30 @@ TEST_F(SpineFixture, RejectsBadLinkParams) {
   bad_loss.loss_prob = -0.01;
   EXPECT_THROW(spine.add_link(bad_loss), std::invalid_argument);
 
+  // Non-finite rates, costs and loss probabilities are refused too: a
+  // NaN rate or cost would reach the float-to-integer cast in
+  // transmission_time.
+  for (const double v : {std::nan(""), kInf, -kInf}) {
+    SpineLinkParams p;
+    p.a = {0, 0};
+    p.b = {1, 0};
+    p.rate = phy::DataRate::gbps(v);
+    EXPECT_THROW(spine.add_link(p), std::invalid_argument) << v;
+    p.rate = phy::DataRate::gbps(400);
+    p.cost = v;
+    EXPECT_THROW(spine.add_link(p), std::invalid_argument) << v;
+    p.cost = 1.0;
+    p.loss_prob = v;
+    EXPECT_THROW(spine.add_link(p), std::invalid_argument) << v;
+  }
+  EXPECT_EQ(spine.link_count(), 0u);
+
   const SpineLinkId id = add(0, 1);
   EXPECT_THROW(spine.set_link_cost(id, -1.0), std::invalid_argument);
+  for (const double v : {std::nan(""), kInf, -kInf}) {
+    EXPECT_THROW(spine.set_link_cost(id, v), std::invalid_argument) << v;
+  }
+  EXPECT_EQ(spine.link_cost(id), 1.0);
   EXPECT_THROW(spine.set_link_cost(99, 1.0), std::invalid_argument);
   EXPECT_THROW(static_cast<void>(spine.link_packets(id, 7)), std::invalid_argument);
 }

@@ -231,7 +231,7 @@ TEST_F(SrlgFixture, PreemptionLandsWhileAReservedPacketIsMidSpineHop) {
   sim.run_until();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(*outcome);  // the in-flight packet was already committed
-  EXPECT_FALSE(spine.reservation_active(*h));
+  EXPECT_FALSE(spine.claim_active(*h));
   EXPECT_EQ(count("spine.reservation_preemptions"), 1u);
   // Stale-handle sends on the repaired link degrade to the shared
   // residual instead of erroring.
@@ -239,7 +239,7 @@ TEST_F(SrlgFixture, PreemptionLandsWhileAReservedPacketIsMidSpineHop) {
   EXPECT_TRUE(spine.send_packet(l, 0, DataSize::bytes(1000), *h,
                                 [](SimTime, bool) {}));
   sim.run_until();
-  EXPECT_EQ(spine.reservation_count(), 0u);
+  EXPECT_EQ(spine.claim_count(fabric::SpineDiscipline::kRateShare), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -385,20 +385,20 @@ TEST(FleetControllerCheckpoint, CheckpointedRestartReearnsTheCarveInOneEpoch) {
     sim.schedule_at(t, [&] { demand += 100'000; });
   }
   sim.run_until(35_us);
-  ASSERT_TRUE(spine.find_reservation(0, 1).has_value());  // promoted at 20 us
+  ASSERT_FALSE(spine.find_claims(0, 1, fabric::SpineDiscipline::kRateShare).empty());  // promoted at 20 us
 
   const auto ckpt = ctrl->checkpoint();
   ASSERT_EQ(ckpt.pairs.size(), 1u);
   EXPECT_EQ(ckpt.pairs[0].key, std::uint64_t{0} << 32 | 1u);
-  EXPECT_TRUE(ckpt.pairs[0].reserved);
+  EXPECT_TRUE(ckpt.pairs[0].claimed);
   EXPECT_GT(ckpt.pairs[0].score, 0.0);
   // A running controller refuses a restore (state would tear mid-epoch).
   EXPECT_THROW(ctrl->restore(ckpt), std::logic_error);
 
   // The kill: leases expire with their owner.
   ctrl->stop();
-  EXPECT_EQ(ctrl->release_reservations(), 1u);
-  EXPECT_FALSE(spine.find_reservation(0, 1).has_value());
+  EXPECT_EQ(ctrl->release_claims(), 1u);
+  EXPECT_TRUE(spine.find_claims(0, 1, fabric::SpineDiscipline::kRateShare).empty());
   ctrl.reset();
 
   // The restarted controller restores intent, not handles — and while
@@ -411,7 +411,7 @@ TEST(FleetControllerCheckpoint, CheckpointedRestartReearnsTheCarveInOneEpoch) {
   fresh->start();
   sim.run_until(48_us);  // one tick, at 45 us
   EXPECT_EQ(fresh->epochs_completed(), 1u);
-  EXPECT_TRUE(spine.find_reservation(0, 1).has_value());
+  EXPECT_FALSE(spine.find_claims(0, 1, fabric::SpineDiscipline::kRateShare).empty());
   fresh->stop();
 }
 
@@ -435,14 +435,14 @@ TEST(FleetControllerCheckpoint, ColdRestartSeedsBaselinesAndReearnsViaFullStreak
   sim.schedule_at(5_us, [&] { demand += 100; });  // keep ticks observing
   sim.run_until(12_us);  // first tick at 10 us
   // The pre-existing 50 MB never registered as heat: no promotion.
-  EXPECT_FALSE(spine.find_reservation(0, 1).has_value());
+  EXPECT_TRUE(spine.find_claims(0, 1, fabric::SpineDiscipline::kRateShare).empty());
   EXPECT_EQ(ctrl.promotions(), 0u);
 
   for (const auto t : {15_us, 25_us}) {
     sim.schedule_at(t, [&] { demand += 100'000; });
   }
   sim.run_until(35_us);  // two hot epochs -> streak 2 -> promote
-  EXPECT_TRUE(spine.find_reservation(0, 1).has_value());
+  EXPECT_FALSE(spine.find_claims(0, 1, fabric::SpineDiscipline::kRateShare).empty());
   ctrl.stop();
 }
 
@@ -477,7 +477,7 @@ TEST(FleetControllerCheckpoint, FlapAtThePromotionBoundaryCostsTheFullStreak) {
     sim.schedule_at(t, [&] { demand += 100'000; });
   }
   sim.run_until(22_us);  // ticks at 10 (streak 1) and 20 (flapped)
-  EXPECT_FALSE(spine.find_reservation(0, 1).has_value());
+  EXPECT_TRUE(spine.find_claims(0, 1, fabric::SpineDiscipline::kRateShare).empty());
   EXPECT_EQ(ctrl.promotions(), 0u);
   EXPECT_EQ(registry.counters("spine").get("spine.links_failed"), 1u);
   EXPECT_EQ(registry.counters("spine").get("spine.links_restored"), 1u);
@@ -485,9 +485,9 @@ TEST(FleetControllerCheckpoint, FlapAtThePromotionBoundaryCostsTheFullStreak) {
   // Re-earning takes promote_after = 2 fresh hot epochs: still nothing
   // at the 30 us tick, promoted at 40 us.
   sim.run_until(32_us);
-  EXPECT_FALSE(spine.find_reservation(0, 1).has_value());
+  EXPECT_TRUE(spine.find_claims(0, 1, fabric::SpineDiscipline::kRateShare).empty());
   sim.run_until(42_us);
-  EXPECT_TRUE(spine.find_reservation(0, 1).has_value());
+  EXPECT_FALSE(spine.find_claims(0, 1, fabric::SpineDiscipline::kRateShare).empty());
   EXPECT_EQ(ctrl.promotions(), 1u);
   ctrl.stop();
 }

@@ -237,8 +237,8 @@ TEST(FleetController, DemandDecayForgetsAncientHeatInThePromotionRanking) {
     sim.run_until(1150_us);
     ctrl.stop();
     EXPECT_EQ(ctrl.promotions(), 1u);  // exactly one carve to hand out
-    const bool new_pair = spine.find_reservation(2, 3).has_value();
-    EXPECT_NE(new_pair, spine.find_reservation(0, 1).has_value());
+    const bool new_pair = !spine.find_claims(2, 3, fabric::SpineDiscipline::kRateShare).empty();
+    EXPECT_NE(new_pair, !spine.find_claims(0, 1, fabric::SpineDiscipline::kRateShare).empty());
     return new_pair;
   };
   // Decay off reproduces the cumulative ranking: ancient heat wins.

@@ -9,10 +9,13 @@
 // untouched while reservations are never configured.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "fabric/interconnect.hpp"
 #include "runtime/fleet.hpp"
@@ -36,6 +39,8 @@ using runtime::RackSpec;
 using runtime::RuntimeConfig;
 using runtime::SpineSpec;
 using namespace rsf::sim::literals;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ---------------------------------------------------------------------------
 // Interconnect-level semantics.
@@ -77,7 +82,7 @@ TEST_F(ReservationFixture, ResidualRateArithmeticIsExact) {
   // the same packet now serializes in 2 us.
   const auto res = spine.reserve(0, 1, 0.5);
   ASSERT_TRUE(res.has_value());
-  EXPECT_DOUBLE_EQ(spine.reserved_fraction(link, 0), 0.5);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(link, 0, fabric::SpineDiscipline::kRateShare), 0.5);
   const SimTime t0 = sim.now();
   EXPECT_EQ((send(link, 0, 1000) - t0).us(), 2.0);
 
@@ -99,7 +104,7 @@ TEST_F(ReservationFixture, ResidualRateArithmeticIsExact) {
 
   // Releasing restores the full rate exactly.
   spine.release(*res);
-  EXPECT_DOUBLE_EQ(spine.reserved_fraction(link, 0), 0.0);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(link, 0, fabric::SpineDiscipline::kRateShare), 0.0);
   const SimTime t2 = sim.now();
   EXPECT_EQ((send(link, 0, 1000) - t2).us(), 1.0);
 }
@@ -110,7 +115,7 @@ TEST_F(ReservationFixture, ReverseDirectionIsNeverTouchedByACarve) {
   ASSERT_TRUE(res.has_value());
   // The carve is per direction of travel: 1 -> 0 still runs at the
   // full rate.
-  EXPECT_DOUBLE_EQ(spine.reserved_fraction(link, 1), 0.0);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(link, 1, fabric::SpineDiscipline::kRateShare), 0.0);
   const SimTime t0 = sim.now();
   EXPECT_EQ((send(link, 1, 1000) - t0).us(), 1.0);
 }
@@ -119,6 +124,11 @@ TEST_F(ReservationFixture, AdmissionRefusesOversubscriptionAndDuplicates) {
   add(0, 1);
   EXPECT_THROW(static_cast<void>(spine.reserve(0, 1, 0.0)), std::invalid_argument);
   EXPECT_THROW(static_cast<void>(spine.reserve(0, 1, 1.0)), std::invalid_argument);
+  // A NaN share would make the residual rate NaN.
+  for (const double v : {std::nan(""), kInf, -kInf}) {
+    EXPECT_THROW(static_cast<void>(spine.reserve(0, 1, v)), std::invalid_argument) << v;
+  }
+  EXPECT_EQ(spine.residual_rate(0, 0), phy::DataRate::gbps(8.0));
   EXPECT_FALSE(spine.reserve(0, 0, 0.5).has_value());  // self pair
   EXPECT_FALSE(spine.reserve(0, 7, 0.5).has_value());  // unreachable
   const auto first = spine.reserve(0, 1, 0.6);
@@ -132,9 +142,9 @@ TEST_F(ReservationFixture, AdmissionRefusesOversubscriptionAndDuplicates) {
   EXPECT_EQ(spine.counters().get("spine.reservations_refused"), 1u);
   // A fitting fraction is admitted, and no partial carve leaked from
   // the refusal.
-  EXPECT_DOUBLE_EQ(spine.reserved_fraction(0, 0), 0.6);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(0, 0, fabric::SpineDiscipline::kRateShare), 0.6);
   EXPECT_TRUE(spine.reserve(0, 2, 0.3).has_value());
-  EXPECT_DOUBLE_EQ(spine.reserved_fraction(0, 0), 0.9);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(0, 0, fabric::SpineDiscipline::kRateShare), 0.9);
 }
 
 TEST_F(ReservationFixture, SurvivesRepricingButDiesWithItsLink) {
@@ -142,19 +152,19 @@ TEST_F(ReservationFixture, SurvivesRepricingButDiesWithItsLink) {
   const auto l12 = add(1, 2);
   const auto res = spine.reserve(0, 2, 0.5);
   ASSERT_TRUE(res.has_value());
-  ASSERT_EQ(spine.reservation_route(*res).size(), 2u);
+  ASSERT_EQ(spine.claim_route(*res).size(), 2u);
 
   // Repricing every crossed link does not disturb the pinned circuit.
   spine.set_link_cost(0, 50.0);
   spine.set_link_cost(l12, 50.0);
-  EXPECT_TRUE(spine.reservation_active(*res));
-  EXPECT_EQ(spine.reservation_route(*res).size(), 2u);
+  EXPECT_TRUE(spine.claim_active(*res));
+  EXPECT_EQ(spine.claim_route(*res).size(), 2u);
 
   // A failed link on the route preempts it: capacity returns, the
   // handle goes stale, and the preemption is counted.
   spine.set_link_up(l12, false);
-  EXPECT_FALSE(spine.reservation_active(*res));
-  EXPECT_DOUBLE_EQ(spine.reserved_fraction(0, 0), 0.0);
+  EXPECT_FALSE(spine.claim_active(*res));
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(0, 0, fabric::SpineDiscipline::kRateShare), 0.0);
   EXPECT_EQ(spine.counters().get("spine.reservation_preemptions"), 1u);
 
   // Traffic still holding the stale handle falls back to the shared
@@ -172,17 +182,17 @@ TEST_F(ReservationFixture, RecycledSlotsStaleifyOldHandles) {
   const auto first = spine.reserve(0, 1, 0.4);
   ASSERT_TRUE(first.has_value());
   spine.release(*first);
-  const std::uint64_t version_after_release = spine.reservation_version();
+  const std::uint64_t version_after_release = spine.claim_version(fabric::SpineDiscipline::kRateShare);
   // The next reservation reuses the slot with a bumped generation:
   // the old handle stays stale.
   const auto second = spine.reserve(1, 0, 0.4);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->id, first->id);
   EXPECT_NE(second->generation, first->generation);
-  EXPECT_FALSE(spine.reservation_active(*first));
-  EXPECT_TRUE(spine.reservation_active(*second));
-  EXPECT_GT(spine.reservation_version(), version_after_release);
-  EXPECT_THROW(static_cast<void>(spine.reservation_route(*first)), std::invalid_argument);
+  EXPECT_FALSE(spine.claim_active(*first));
+  EXPECT_TRUE(spine.claim_active(*second));
+  EXPECT_GT(spine.claim_version(fabric::SpineDiscipline::kRateShare), version_after_release);
+  EXPECT_THROW(static_cast<void>(spine.claim_route(*first)), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -237,7 +247,7 @@ TEST(FleetReservationPolicy, PromotesHotPairsAndDemotesIdleOnesWithHysteresis) {
   // its packets rode the carved slice.
   EXPECT_EQ(fleet.controller().promotions(), 1u);
   EXPECT_GT(fleet.spine().counters().get("spine.reserved_bytes"), 0u);
-  EXPECT_TRUE(fleet.spine().find_reservation(0, 1).has_value());
+  EXPECT_FALSE(fleet.spine().find_claims(0, 1, fabric::SpineDiscipline::kRateShare).empty());
   // Hysteresis: one idle epoch is not a demotion...
   EXPECT_EQ(fleet.controller().demotions(), 0u);
   fleet.run_until(fleet.now() + 40_us);
@@ -245,8 +255,8 @@ TEST(FleetReservationPolicy, PromotesHotPairsAndDemotesIdleOnesWithHysteresis) {
   // ...but demote_after consecutive idle epochs are.
   fleet.run_until(fleet.now() + 200_us);
   EXPECT_EQ(fleet.controller().demotions(), 1u);
-  EXPECT_FALSE(fleet.spine().find_reservation(0, 1).has_value());
-  EXPECT_EQ(fleet.spine().reservation_count(), 0u);
+  EXPECT_TRUE(fleet.spine().find_claims(0, 1, fabric::SpineDiscipline::kRateShare).empty());
+  EXPECT_EQ(fleet.spine().claim_count(fabric::SpineDiscipline::kRateShare), 0u);
   fleet.stop();
 }
 
@@ -263,9 +273,9 @@ TEST(FleetReservationPolicy, PolicyOffNeverReserves) {
   fleet.stop();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(fleet.controller().promotions(), 0u);
-  EXPECT_EQ(fleet.spine().reservation_count(), 0u);
+  EXPECT_EQ(fleet.spine().claim_count(fabric::SpineDiscipline::kRateShare), 0u);
   EXPECT_EQ(fleet.spine().counters().get("spine.reserved_bytes"), 0u);
-  EXPECT_EQ(fleet.spine().reservation_version(), 0u);
+  EXPECT_EQ(fleet.spine().claim_version(fabric::SpineDiscipline::kRateShare), 0u);
 }
 
 TEST(FleetReservationPolicy, PreemptedPairFallsBackAndKeepsDelivering) {
@@ -337,6 +347,23 @@ TEST(FleetReservationPolicy, RejectsBadPolicyConfig) {
   fc.controller.reservations.fraction = 0.5;
   fc.controller.reservations.promote_after = 0;
   EXPECT_THROW(FleetRuntime bad(fc), std::invalid_argument);
+  // Non-finite shares, costs, weights and half-lives are refused at
+  // construction, not discovered mid-run (a NaN half-life would feed
+  // NaN scores to the promotion sort).
+  for (const double v : {std::nan(""), kInf, -kInf}) {
+    const FleetConfig good = policy_fleet(true);
+    const std::vector<std::function<void(runtime::FleetControllerConfig&)>> bad_fields = {
+        [v](auto& c) { c.reservations.fraction = v; },
+        [v](auto& c) { c.base_cost = v; },
+        [v](auto& c) { c.utilization_weight = v; },
+        [v](auto& c) { c.demand_half_life_epochs = v; },
+    };
+    for (const auto& set_bad : bad_fields) {
+      FleetConfig bad_fc = good;
+      set_bad(bad_fc.controller);
+      EXPECT_THROW(FleetRuntime bad(bad_fc), std::invalid_argument) << v;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

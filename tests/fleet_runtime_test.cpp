@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "runtime/fleet.hpp"
 #include "runtime/runtime.hpp"
@@ -548,6 +549,80 @@ TEST(FleetRuntime, AddingARackDoesNotPerturbExistingRacksStreams) {
             three.rack(0).metrics_table().to_string());
   EXPECT_EQ(two.rack(1).metrics_table().to_string(),
             three.rack(1).metrics_table().to_string());
+}
+
+TEST(FleetRuntime, SlotSchedulesTakePrecedenceOverACarveUntilReleased) {
+  // Controller off: the claims come from the direct spine API. Three
+  // parallel legs between racks 0 and 1; the carve pins leg 0 and the
+  // two schedules, booked in that order, pin legs 1 and 2.
+  FleetConfig fc;
+  fc.racks.push_back(RackSpec{grid_config(), 0});
+  fc.racks.push_back(RackSpec{grid_config(), 0});
+  for (int leg = 0; leg < 3; ++leg) {
+    SpineSpec s;
+    s.rack_a = 0;
+    s.rack_b = 1;
+    fc.spine.push_back(s);
+  }
+  FleetRuntime fleet(fc);
+  fabric::Interconnect& spine = fleet.spine();
+  const auto carve = spine.reserve(0, 1, 0.3);
+  ASSERT_TRUE(carve.has_value());
+  ASSERT_EQ(spine.claim_route(*carve), (std::vector<fabric::SpineLinkId>{0}));
+  const auto first = spine.reserve_slots(0, 1, 4, 1, {0});
+  ASSERT_TRUE(first.has_value());
+  ASSERT_EQ(spine.claim_route(*first), (std::vector<fabric::SpineLinkId>{1}));
+  const auto second = spine.reserve_slots(0, 1, 4, 1, {0, 1});
+  ASSERT_TRUE(second.has_value());
+  ASSERT_EQ(spine.claim_route(*second), (std::vector<fabric::SpineLinkId>{2}));
+  const auto count = [&](const char* name) { return spine.counters().get(name); };
+
+  // Packets ride the schedules round-robin in booking order: a flow's
+  // first packet takes the first schedule's leg, its second the
+  // second's, its third the first's again.
+  const auto run_flow = [&](std::int64_t bytes) {
+    runtime::FleetFlowSpec spec;
+    spec.src = fleet.at(0, 3, 3);
+    spec.dst = fleet.at(1, 2, 2);
+    spec.size = DataSize::bytes(bytes);
+    spec.packet_size = DataSize::bytes(1000);
+    spec.start = fleet.now();
+    std::optional<runtime::FleetFlowResult> result;
+    fleet.start_flow(spec, [&](const runtime::FleetFlowResult& r) { result = r; });
+    return result;
+  };
+  std::optional<runtime::FleetFlowResult> one = run_flow(1000);
+  fleet.run_until(fleet.now() + 100_us);
+  EXPECT_EQ(spine.link_packets(1, 0), 1u);
+  EXPECT_EQ(spine.link_packets(2, 0), 0u);
+  std::optional<runtime::FleetFlowResult> three = run_flow(3000);
+  fleet.run_until(fleet.now() + 100_us);
+  EXPECT_EQ(spine.link_packets(1, 0), 3u);
+  EXPECT_EQ(spine.link_packets(2, 0), 1u);
+  // The carve only pins the flow's shared route: nothing rode leg 0 or
+  // the carved slice, and no packet needed a route-cache lookup.
+  EXPECT_EQ(spine.link_packets(0, 0), 0u);
+  EXPECT_EQ(count("spine.slotted_bytes"), 4000u);
+  EXPECT_EQ(count("spine.reserved_bytes"), 0u);
+  EXPECT_EQ(count("spine.route_cache_hits") + count("spine.route_cache_misses"), 0u);
+
+  // A long flow: once both schedules are released mid-flow, its
+  // remaining packets ride the carve on leg 0.
+  std::optional<runtime::FleetFlowResult> big = run_flow(200'000);
+  while (count("spine.slotted_bytes") < 40'000) fleet.run_until(fleet.now() + 1_us);
+  EXPECT_EQ(count("spine.reserved_bytes"), 0u);
+  spine.release(*first);
+  spine.release(*second);
+  const std::uint64_t slotted_at_release = count("spine.slotted_bytes");
+  fleet.run_until();
+  ASSERT_TRUE(big.has_value());
+  EXPECT_FALSE(big->failed);
+  EXPECT_EQ(count("spine.slotted_bytes"), slotted_at_release);
+  EXPECT_GT(count("spine.reserved_bytes"), 100'000u);
+  EXPECT_GT(spine.link_packets(0, 0), 100u);
+  EXPECT_EQ(count("spine.route_cache_hits") + count("spine.route_cache_misses"), 0u);
+  ASSERT_TRUE(one.has_value() && three.has_value());
+  EXPECT_FALSE(one->failed || three->failed);
 }
 
 TEST(FleetRuntime, RejectsBadConfigs) {

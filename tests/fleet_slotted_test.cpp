@@ -76,14 +76,14 @@ TEST_F(SlottedFixture, WaitsForOwnedSlotsAndRidesThemAtFullRate) {
   const auto link = add(0, 1);
   const auto sched = spine.reserve_slots(0, 1, 4, 1);
   ASSERT_TRUE(sched.has_value());
-  EXPECT_TRUE(spine.schedule_active(*sched));
+  EXPECT_TRUE(spine.claim_active(*sched));
   // A fresh calendar books the first contention-free offsets: the
   // pair owns offset 0 of every period — wall-clock [0, 1), [4, 5)...
-  EXPECT_EQ(spine.schedule_mask(*sched), SlotCalendar::periodic_mask(4, 0));
-  EXPECT_DOUBLE_EQ(spine.schedule_fraction(*sched), 0.25);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(link, 0), 0.25);
-  ASSERT_EQ(spine.schedule_route(*sched).size(), 1u);
-  EXPECT_EQ(spine.schedule_route(*sched)[0], link);
+  EXPECT_EQ(spine.claim_mask(*sched), SlotCalendar::periodic_mask(4, 0));
+  EXPECT_DOUBLE_EQ(spine.claim_fraction(*sched), 0.25);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(link, 0, fabric::SpineDiscipline::kTimeShare), 0.25);
+  ASSERT_EQ(spine.claim_route(*sched).size(), 1u);
+  EXPECT_EQ(spine.claim_route(*sched)[0], link);
 
   // Sent inside an owned slot: serializes immediately at the FULL
   // link rate — 1 us — even though the pair owns only a quarter of
@@ -115,12 +115,12 @@ TEST_F(SlottedFixture, AdmissionIsAllOrNothingAcrossTheWholeRoute) {
   const auto far_first = spine.reserve_slots(1, 2, 8, 3);
   const auto far_second = spine.reserve_slots(1, 2, 8, 3);
   ASSERT_TRUE(far_first.has_value() && far_second.has_value());
-  EXPECT_EQ(spine.schedule_mask(*far_second), SlotCalendar::periodic_mask(8, 3) |
+  EXPECT_EQ(spine.claim_mask(*far_second), SlotCalendar::periodic_mask(8, 3) |
                                                   SlotCalendar::periodic_mask(8, 4) |
                                                   SlotCalendar::periodic_mask(8, 5));
-  spine.release_slots(*far_first);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(l01, 0), 0.375);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(l12, 1), 0.375);
+  spine.release(*far_first);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(l01, 0, fabric::SpineDiscipline::kTimeShare), 0.375);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(l12, 1, fabric::SpineDiscipline::kTimeShare), 0.375);
 
   // Headroom refusal: a schedule may never starve a direction's
   // shared residual outright (duty 5 of 8 on a 0.375-slotted line).
@@ -133,19 +133,19 @@ TEST_F(SlottedFixture, AdmissionIsAllOrNothingAcrossTheWholeRoute) {
   // partial claim leaks onto either line.
   EXPECT_FALSE(spine.reserve_slots(0, 2, 8, 4).has_value());
   EXPECT_EQ(count("spine.slot_refusals"), 2u);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(l01, 0), 0.375);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(l12, 1), 0.375);
-  EXPECT_EQ(spine.schedule_count(), 2u);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(l01, 0, fabric::SpineDiscipline::kTimeShare), 0.375);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(l12, 1, fabric::SpineDiscipline::kTimeShare), 0.375);
+  EXPECT_EQ(spine.claim_count(fabric::SpineDiscipline::kTimeShare), 2u);
 
   // The duty that fits the shared free offsets is admitted on both
   // hops simultaneously.
   const auto transit = spine.reserve_slots(0, 2, 8, 2);
   ASSERT_TRUE(transit.has_value());
-  EXPECT_EQ(spine.schedule_mask(*transit), SlotCalendar::periodic_mask(8, 6) |
+  EXPECT_EQ(spine.claim_mask(*transit), SlotCalendar::periodic_mask(8, 6) |
                                                SlotCalendar::periodic_mask(8, 7));
-  ASSERT_EQ(spine.schedule_route(*transit).size(), 2u);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(l01, 0), 0.625);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(l12, 1), 0.625);
+  ASSERT_EQ(spine.claim_route(*transit).size(), 2u);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(l01, 0, fabric::SpineDiscipline::kTimeShare), 0.625);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(l12, 1, fabric::SpineDiscipline::kTimeShare), 0.625);
 
   // Shape validation mirrors the calendar's contract.
   EXPECT_THROW(static_cast<void>(spine.reserve_slots(0, 1, 3, 1)),
@@ -161,7 +161,7 @@ TEST_F(SlottedFixture, SendsRenewTheLeaseAndInactivityExpiresIt) {
   const auto link = add(0, 1);
   const auto sched = spine.reserve_slots(0, 1, 4, 2);
   ASSERT_TRUE(sched.has_value());
-  const std::uint64_t booked_version = spine.schedule_version();
+  const std::uint64_t booked_version = spine.claim_version(fabric::SpineDiscipline::kTimeShare);
 
   // A send every 6 us keeps the schedule alive well past 3x the
   // 10 us inactivity window: every slotted send renews the lease.
@@ -174,18 +174,18 @@ TEST_F(SlottedFixture, SendsRenewTheLeaseAndInactivityExpiresIt) {
   // Sentinel keeps the simulator alive past the (weak) expiry event.
   sim.schedule_at(60_us, [] {});
   sim.run_until(35_us);
-  EXPECT_TRUE(spine.schedule_active(*sched));
+  EXPECT_TRUE(spine.claim_active(*sched));
   EXPECT_EQ(count("spine.slot_expirations"), 0u);
 
   // Then the pair goes quiet: 10 us after the last send the schedule
   // self-expires — slots and residual return, the handle goes stale,
   // and the version bumps so transports drop it without a lookup.
   sim.run_until();
-  EXPECT_FALSE(spine.schedule_active(*sched));
+  EXPECT_FALSE(spine.claim_active(*sched));
   EXPECT_EQ(count("spine.slot_expirations"), 1u);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(link, 0), 0.0);
-  EXPECT_EQ(spine.schedule_count(), 0u);
-  EXPECT_GT(spine.schedule_version(), booked_version);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(link, 0, fabric::SpineDiscipline::kTimeShare), 0.0);
+  EXPECT_EQ(spine.claim_count(fabric::SpineDiscipline::kTimeShare), 0u);
+  EXPECT_GT(spine.claim_version(fabric::SpineDiscipline::kTimeShare), booked_version);
 }
 
 TEST_F(SlottedFixture, LinkFailurePreemptsAndStaleHandlesFallBackShared) {
@@ -193,14 +193,14 @@ TEST_F(SlottedFixture, LinkFailurePreemptsAndStaleHandlesFallBackShared) {
   const auto l12 = add(1, 2);
   const auto sched = spine.reserve_slots(0, 2, 4, 2);
   ASSERT_TRUE(sched.has_value());
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(0, 0), 0.5);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(0, 0, fabric::SpineDiscipline::kTimeShare), 0.5);
 
   // A failed link on the route preempts the whole schedule: capacity
   // returns on the surviving hop too, and the preemption is counted.
   spine.set_link_up(l12, false);
-  EXPECT_FALSE(spine.schedule_active(*sched));
+  EXPECT_FALSE(spine.claim_active(*sched));
   EXPECT_EQ(count("spine.slot_preemptions"), 1u);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(spine.claimed_fraction(0, 0, fabric::SpineDiscipline::kTimeShare), 0.0);
 
   // Traffic still holding the stale handle rides the shared FIFO of
   // the surviving link at the full rate instead of erroring.
@@ -208,7 +208,7 @@ TEST_F(SlottedFixture, LinkFailurePreemptsAndStaleHandlesFallBackShared) {
   EXPECT_EQ(count("spine.slotted_bytes"), 0u);
 
   // Releasing a stale handle is an idempotent no-op.
-  spine.release_slots(*sched);
+  spine.release(*sched);
   EXPECT_EQ(count("spine.slot_releases"), 0u);
 }
 
@@ -216,7 +216,7 @@ TEST_F(SlottedFixture, RecycledScheduleSlotsStaleifyOldHandles) {
   add(0, 1);
   const auto first = spine.reserve_slots(0, 1, 4, 1);
   ASSERT_TRUE(first.has_value());
-  spine.release_slots(*first);
+  spine.release(*first);
   EXPECT_EQ(count("spine.slot_releases"), 1u);
   // The next booking reuses the slot with a bumped generation: the
   // old handle stays stale and its accessors throw.
@@ -224,10 +224,10 @@ TEST_F(SlottedFixture, RecycledScheduleSlotsStaleifyOldHandles) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->id, first->id);
   EXPECT_NE(second->generation, first->generation);
-  EXPECT_FALSE(spine.schedule_active(*first));
-  EXPECT_TRUE(spine.schedule_active(*second));
-  EXPECT_THROW(static_cast<void>(spine.schedule_route(*first)), std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(spine.schedule_mask(*first)), std::invalid_argument);
+  EXPECT_FALSE(spine.claim_active(*first));
+  EXPECT_TRUE(spine.claim_active(*second));
+  EXPECT_THROW(static_cast<void>(spine.claim_route(*first)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(spine.claim_mask(*first)), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +289,7 @@ TEST(FleetSchedulePolicy, PromotesHotPairsSplitsLegsAndDemotesIdleOnes) {
   // both links.
   EXPECT_EQ(fleet.controller().promotions(), 1u);
   EXPECT_EQ(fleet.controller().counters().get("fleet.schedule_splits"), 1u);
-  EXPECT_EQ(fleet.spine().find_schedules(0, 1).size(), 2u);
+  EXPECT_EQ(fleet.spine().find_claims(0, 1, fabric::SpineDiscipline::kTimeShare).size(), 2u);
   EXPECT_GT(fleet.spine().counters().get("spine.slotted_bytes"), 0u);
   EXPECT_GT(fleet.spine().link_packets(0, 0), 0u);
   EXPECT_GT(fleet.spine().link_packets(1, 0), 0u);
@@ -297,8 +297,8 @@ TEST(FleetSchedulePolicy, PromotesHotPairsSplitsLegsAndDemotesIdleOnes) {
   EXPECT_EQ(fleet.controller().demotions(), 0u);
   fleet.run_until(fleet.now() + 200_us);
   EXPECT_EQ(fleet.controller().demotions(), 1u);
-  EXPECT_TRUE(fleet.spine().find_schedules(0, 1).empty());
-  EXPECT_EQ(fleet.spine().schedule_count(), 0u);
+  EXPECT_TRUE(fleet.spine().find_claims(0, 1, fabric::SpineDiscipline::kTimeShare).empty());
+  EXPECT_EQ(fleet.spine().claim_count(fabric::SpineDiscipline::kTimeShare), 0u);
   EXPECT_EQ(fleet.spine().counters().get("spine.slot_releases"), 2u);
   fleet.stop();
 }
@@ -316,8 +316,8 @@ TEST(FleetSchedulePolicy, PolicyOffNeverTouchesTheCalendar) {
   fleet.stop();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(fleet.controller().promotions(), 0u);
-  EXPECT_EQ(fleet.spine().schedule_count(), 0u);
-  EXPECT_EQ(fleet.spine().schedule_version(), 0u);
+  EXPECT_EQ(fleet.spine().claim_count(fabric::SpineDiscipline::kTimeShare), 0u);
+  EXPECT_EQ(fleet.spine().claim_version(fabric::SpineDiscipline::kTimeShare), 0u);
   EXPECT_EQ(fleet.spine().counters().get("spine.slotted_bytes"), 0u);
 }
 
