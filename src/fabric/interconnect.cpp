@@ -51,6 +51,11 @@ SpineLinkId Interconnect::add_link(SpineLinkParams params) {
   if (!(params.cost > 0) || !std::isfinite(params.cost)) {
     throw std::invalid_argument("Interconnect: non-positive spine cost");
   }
+  // A negative propagation delay would schedule a packet's arrival
+  // before its send; zero is a legal idealised cable.
+  if (params.latency < SimTime::zero()) {
+    throw std::invalid_argument("Interconnect: negative spine latency");
+  }
   // The closed interval: loss_prob == 1 is a blackhole link — a
   // legitimate chaos configuration (the retransmit path above it is
   // bounded by max_retries), not a misconfiguration.
@@ -607,22 +612,6 @@ bool Interconnect::finish_packet(SpineLink& ml, int d, SimTime arrival,
     static_assert(sim::is_inline_event_v<decltype(complete)>,
                   "the spine packet completion must stay on the inline event arm");
     sim_->schedule_at(arrival, complete);
-  }
-  return true;
-}
-
-bool Interconnect::transfer(SpineLinkId id, std::uint32_t from_rack, phy::DataSize size,
-                            DeliveryCallback cb) {
-  const SpineLink& l = at(id);
-  const int d = direction_index(l, from_rack);
-  if (!l.up) {
-    counters_.add("spine.transfers_refused");
-    return false;
-  }
-  const SimTime arrival = occupy(links_[id], d, size);
-  counters_.add("spine.transfers");
-  if (cb) {
-    sim_->schedule_at(arrival, [cb = std::move(cb), arrival] { cb(arrival); });
   }
   return true;
 }

@@ -3,12 +3,10 @@
 // An Interconnect models the links *between* racks of a fleet: spine
 // cables with a configurable rate and propagation latency, each
 // connecting a designated gateway node in one rack to a gateway node
-// in another. Since PR 3 the spine is a first-class packet-switched
-// layer: the fleet transport streams individual packets through
-// send_packet() (per-packet FIFO busy-until serialization, propagation
-// latency, and Bernoulli loss sampled from the link's loss_prob), while
-// the legacy bulk transfer() remains as the store-and-forward
-// comparison baseline.
+// in another. The spine is a packet-switched layer: the fleet
+// transport streams individual packets through send_packet()
+// (per-packet FIFO busy-until serialization, propagation latency, and
+// Bernoulli loss sampled from the link's loss_prob).
 //
 // Rack-level routing is cost-aware shortest path over the rack graph
 // (Dijkstra; unit costs degenerate to breadth-first order) skipping
@@ -111,7 +109,8 @@ struct SpineLinkParams {
   RackNode a;
   RackNode b;
   phy::DataRate rate = phy::DataRate::gbps(400);
-  /// One-way propagation between the racks (spine cables are long).
+  /// One-way propagation between the racks (spine cables are long;
+  /// >= 0).
   rsf::sim::SimTime latency = rsf::sim::SimTime::microseconds(1);
   /// Per-packet loss probability on this hop (uncorrectable errors at
   /// fleet scale). Sampled by send_packet(); 0 keeps runs loss-free.
@@ -122,14 +121,12 @@ struct SpineLinkParams {
 
 class Interconnect {
  public:
-  /// cb(arrival): the transfer's last bit reaches the far gateway.
-  /// SmallFunction (not std::function) keeps the scheduled completion
-  /// continuation trivially copyable, so it rides the Simulator's
-  /// inline event arm — per-packet spine sends never allocate.
-  using DeliveryCallback = core::SmallFunction<void(rsf::sim::SimTime arrival)>;
   /// cb(arrival, delivered): the packet's last bit reaches the far
   /// gateway (delivered == false when the hop lost it — the sender
-  /// owns retransmission).
+  /// owns retransmission). SmallFunction (not std::function) keeps the
+  /// scheduled completion continuation trivially copyable, so it rides
+  /// the Simulator's inline event arm — per-packet spine sends never
+  /// allocate.
   using PacketCallback =
       core::SmallFunction<void(rsf::sim::SimTime arrival, bool delivered)>;
 
@@ -320,7 +317,7 @@ class Interconnect {
     return pair_demand_;
   }
 
-  // --- packet / bulk transport ---
+  // --- packet transport ---
 
   /// Occupy `id` in the direction leaving `from_rack` for one packet
   /// of `size` bytes: FIFO serialization at the link rate, then
@@ -341,13 +338,6 @@ class Interconnect {
                    PacketCallback cb) {
     return send_packet(id, from_rack, size, SpineClaimHandle{}, std::move(cb));
   }
-
-  /// Bulk store-and-forward transfer: the whole payload occupies the
-  /// direction for its serialization time. Comparison baseline for
-  /// the packetized path (FleetConfig::transport selects). `cb` fires
-  /// at arrival. Returns false (no callback) when the link is down.
-  bool transfer(SpineLinkId id, std::uint32_t from_rack, phy::DataSize size,
-                DeliveryCallback cb);
 
   /// Cumulative time direction (`id`, leaving `from_rack`) has spent
   /// serializing — the spine utilisation input the FleetController

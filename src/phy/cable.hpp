@@ -6,6 +6,7 @@
 // how *logical links* use cable lanes, not the cables themselves.
 #pragma once
 
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -23,7 +24,11 @@ class Cable {
       : id_(id), end_a_(end_a), end_b_(end_b), length_m_(length_m), medium_(medium) {
     if (end_a == end_b) throw std::invalid_argument("Cable: self-loop");
     if (lane_count <= 0) throw std::invalid_argument("Cable: need >= 1 lane");
-    if (length_m <= 0) throw std::invalid_argument("Cable: non-positive length");
+    // Written so NaN fails it: a NaN or infinite length would poison
+    // the propagation delay and hang a bounded run.
+    if (!(length_m > 0) || !std::isfinite(length_m)) {
+      throw std::invalid_argument("Cable: non-positive or non-finite length");
+    }
     lanes_.reserve(static_cast<std::size_t>(lane_count));
     for (int i = 0; i < lane_count; ++i) {
       lanes_.emplace_back(lane_rate, lane_power, initial_ber);

@@ -10,6 +10,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <string_view>
 
 #include "phy/units.hpp"
@@ -57,8 +58,19 @@ struct LaneStats {
 
 class Lane {
  public:
+  /// The rate must be positive and finite and the BER a probability;
+  /// both checks are written so NaN fails them. A zero rate or an
+  /// out-of-range BER would otherwise hang or silently fail every
+  /// flow over the lane.
   Lane(DataRate rate, LanePowerParams power, double pre_fec_ber)
-      : rate_(rate), power_(power), pre_fec_ber_(pre_fec_ber) {}
+      : rate_(rate), power_(power), pre_fec_ber_(pre_fec_ber) {
+    if (!(rate.gbps_value() > 0) || !std::isfinite(rate.gbps_value())) {
+      throw std::invalid_argument("Lane: non-positive or non-finite rate");
+    }
+    if (!(pre_fec_ber >= 0 && pre_fec_ber <= 1)) {
+      throw std::invalid_argument("Lane: pre-FEC BER outside [0, 1]");
+    }
+  }
 
   [[nodiscard]] DataRate rate() const { return rate_; }
   [[nodiscard]] LaneState state() const { return state_; }

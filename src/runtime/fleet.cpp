@@ -144,7 +144,6 @@ void FleetRuntime::start_flow(const FleetFlowSpec& spec, FleetFlowCallback on_co
   FleetFlowState state;
   state.spec = spec;
   state.on_complete = std::move(on_complete);
-  state.at = spec.src;
   state.packets_total =
       static_cast<std::uint64_t>(spec.size.packet_count(spec.packet_size));
   // Claim a slot (a drained one when the free list has any — bounded
@@ -158,18 +157,13 @@ void FleetRuntime::start_flow(const FleetFlowSpec& spec, FleetFlowCallback on_co
     if (!flows_.is_live(idx, gen)) return;  // slot recycled before the start fired
     FleetFlowState& f = flows_[idx];
     f.started = sim_.now();
-    // Same-rack flows collapse to one plain Network flow in either
-    // transport mode: a 1-shard fleet stays identical to a standalone
-    // FabricRuntime.
-    if (f.spec.src.rack == f.spec.dst.rack ||
-        config_.transport == SpineTransport::kStoreAndForward) {
-      const auto path = spine_->route(f.spec.src.rack, f.spec.dst.rack);
-      if (!path) {  // no usable spine path
-        finish_fleet_flow(idx, true);
-        return;
-      }
-      f.path = *path;
-      advance(idx);
+    // Same-rack flows collapse to one plain Network flow: a 1-shard
+    // fleet stays identical to a standalone FabricRuntime. The route
+    // lookup (always the empty path) still counts in the spine's
+    // route-cache counters.
+    if (f.spec.src.rack == f.spec.dst.rack) {
+      static_cast<void>(spine_->route(f.spec.src.rack, f.spec.dst.rack));
+      run_local_flow(idx);
       return;
     }
     // pump_packets resolves the route itself and fails the flow
@@ -452,73 +446,28 @@ void FleetRuntime::packet_failed(std::uint32_t pkt_idx) {
 }
 
 // ---------------------------------------------------------------------------
-// Store-and-forward transport (the PR 2 baseline) and the same-rack
-// collapse: the whole payload moves stage by stage.
+// The same-rack collapse: the whole flow is one plain Network flow.
 // ---------------------------------------------------------------------------
 
-/// Move the payload one stage further: the next intra-rack leg toward
-/// the current rack's exit gateway (or the final destination), else
-/// the next spine crossing, else done.
-void FleetRuntime::advance(std::uint32_t flow_idx) {
+void FleetRuntime::run_local_flow(std::uint32_t flow_idx) {
   FleetFlowState& f = flows_[flow_idx];
-  if (f.next_hop < f.path.size()) {
-    const fabric::SpineLinkId hop = f.path[f.next_hop];
-    const fabric::RackNode exit = f.at.rack == spine_->link(hop).a.rack
-                                      ? spine_->link(hop).a
-                                      : spine_->link(hop).b;
-    if (f.at.node != exit.node) {
-      run_rack_leg(flow_idx, exit.node);
-      return;
-    }
-    const std::uint32_t from_rack = f.at.rack;
-    const std::uint64_t gen = flows_.generation(flow_idx);
-    const bool ok =
-        spine_->transfer(hop, from_rack, f.spec.size, [this, flow_idx, gen](SimTime) {
-          if (!flows_.is_live(flow_idx, gen)) return;  // slot recycled since
-          advance(flow_idx);
-        });
-    if (!ok) {  // spine link went down since routing
-      finish_fleet_flow(flow_idx, true);
-      return;
-    }
-    // Bulk crossings note pair demand too (payload bytes per spine
-    // hop crossed — byte·hops, the same unit the packetized path
-    // records): without this the claim policies are blind under
-    // the store-and-forward comparison baseline.
-    spine_->pair_demand_slot(f.spec.src.rack, f.spec.dst.rack) +=
-        static_cast<std::uint64_t>(std::max<std::int64_t>(0, f.spec.size.bit_count() / 8));
-    ++f.next_hop;
-    ++f.spine_hops;
-    f.at = spine_->far_end(hop, from_rack);
+  if (f.spec.src.node == f.spec.dst.node) {
+    finish_fleet_flow(flow_idx, false);
     return;
   }
-  if (f.at.node != f.spec.dst.node) {
-    run_rack_leg(flow_idx, f.spec.dst.node);
-    return;
-  }
-  finish_fleet_flow(flow_idx, false);
-}
-
-void FleetRuntime::run_rack_leg(std::uint32_t flow_idx, phy::NodeId to) {
-  FleetFlowState& f = flows_[flow_idx];
   fabric::FlowSpec leg;
   leg.id = next_leg_id_++;
-  leg.src = f.at.node;
-  leg.dst = to;
+  leg.src = f.spec.src.node;
+  leg.dst = f.spec.dst.node;
   leg.size = f.spec.size;
   leg.packet_size = f.spec.packet_size;
   leg.start = sim_.now();
   ++f.rack_legs;
   const std::uint64_t gen = flows_.generation(flow_idx);
-  racks_[f.at.rack]->network().start_flow(
-      leg, [this, flow_idx, gen, to](const fabric::FlowResult& r) {
+  racks_[f.spec.src.rack]->network().start_flow(
+      leg, [this, flow_idx, gen](const fabric::FlowResult& r) {
         if (!flows_.is_live(flow_idx, gen)) return;  // slot recycled since
-        if (r.failed) {
-          finish_fleet_flow(flow_idx, true);
-          return;
-        }
-        flows_[flow_idx].at.node = to;
-        advance(flow_idx);
+        finish_fleet_flow(flow_idx, r.failed);
       });
 }
 

@@ -12,22 +12,20 @@
 // so a fleet is one serial drive. Parallelism lives one level up —
 // independent fleets (sweep arms) run concurrently, one per thread.
 //
-// Cross-rack transport is per-packet (SpineTransport::kPacketized, the
-// default): a fleet flow is packetized at the source and each packet
-// streams over the whole path — rack leg to the gateway, spine hop(s),
-// far rack leg — with cut-through pipelining across stages (while
-// packet k serializes on the spine, packet k+1 is already crossing the
-// source rack). The flow keeps at most `flow_window` packets in
-// flight; spine losses retransmit from the fleet layer; packets whose
-// next spine hop died mid-flight re-plan from the rack they are in (or
-// fail the flow deterministically when the fleet is partitioned).
+// Cross-rack transport is per-packet: a fleet flow is packetized at
+// the source and each packet streams over the whole path — rack leg to
+// the gateway, spine hop(s), far rack leg — with cut-through
+// pipelining across stages (while packet k serializes on the spine,
+// packet k+1 is already crossing the source rack). The flow keeps at
+// most `flow_window` packets in flight; spine losses retransmit from
+// the fleet layer; packets whose next spine hop died mid-flight
+// re-plan from the rack they are in (or fail the flow
+// deterministically when the fleet is partitioned).
 // Routes are resolved per packet through the Interconnect's memoized
 // route cache, so FleetController repricing shifts later packets onto
-// cheaper links. SpineTransport::kStoreAndForward keeps PR 2's staged
-// bulk pipeline as the comparison baseline. Same-rack (src.rack ==
-// dst.rack) flows collapse to a plain Network flow in both modes, so a
-// 1-shard fleet is behaviourally identical to a standalone
-// FabricRuntime.
+// cheaper links. Same-rack (src.rack == dst.rack) flows collapse to a
+// plain Network flow, so a 1-shard fleet is behaviourally identical to
+// a standalone FabricRuntime.
 //
 // Spine claims compose on top of the packetized path: every pump a
 // flow re-checks (against the spine's two claim versions, 0 while
@@ -88,15 +86,9 @@ struct SpineSpec {
   double cost = 1.0;
 };
 
-/// How fleet flows cross the spine. Packetized is the real model;
-/// store-and-forward is PR 2's staged bulk pipeline, kept as the
-/// comparison baseline (the ext8 bench reports both).
-enum class SpineTransport { kPacketized, kStoreAndForward };
-
 struct FleetConfig {
   std::vector<RackSpec> racks;
   std::vector<SpineSpec> spine;
-  SpineTransport transport = SpineTransport::kPacketized;
   /// Packets a fleet flow keeps in flight across the whole path.
   int flow_window = 16;
   /// Per-packet retry budget (spine loss or rack-leg drop) before the
@@ -135,7 +127,7 @@ struct FleetFlowResult {
   rsf::sim::SimTime started = rsf::sim::SimTime::zero();
   rsf::sim::SimTime finished = rsf::sim::SimTime::zero();
   /// Deepest intra-rack leg / spine crossing count any packet of the
-  /// flow traversed (for a bulk flow: the staged path itself).
+  /// flow traversed (a same-rack flow: one leg, no crossing).
   int rack_legs = 0;
   int spine_hops = 0;
   /// Fleet-level retransmits (spine losses and rack-leg drops).
@@ -268,11 +260,7 @@ class FleetRuntime {
     /// per-packet byte·hop bump is a pointer add, not a map lookup.
     std::uint64_t* demand_slot = nullptr;
     std::uint64_t demand_hops = 0;
-    // --- store-and-forward transport (and result bookkeeping) ---
-    /// Remaining spine links, in crossing order (bulk mode only).
-    std::vector<fabric::SpineLinkId> path;
-    std::size_t next_hop = 0;
-    fabric::RackNode at;  // current position of the bulk payload
+    // --- result bookkeeping ---
     int rack_legs = 0;
     int spine_hops = 0;
   };
@@ -316,9 +304,10 @@ class FleetRuntime {
   /// flow index.
   std::uint32_t release_packet(std::uint32_t pkt_idx);
 
-  // Store-and-forward pipeline (and the same-rack collapse).
-  void advance(std::uint32_t flow_idx);
-  void run_rack_leg(std::uint32_t flow_idx, phy::NodeId to);
+  /// The same-rack collapse: run the whole flow as one plain Network
+  /// flow whose completion finishes the fleet flow (a flow to its own
+  /// source node finishes at once, with no leg).
+  void run_local_flow(std::uint32_t flow_idx);
 
   void finish_fleet_flow(std::uint32_t flow_idx, bool failed);
   /// Return the slot to the free list once the flow is done and its

@@ -217,13 +217,11 @@ TEST_F(SpineFixture, PacketLossIsSampledAndCounted) {
   EXPECT_EQ(spine.counters().get("spine.packets"), 200u);
 }
 
-TEST_F(SpineFixture, DownLinkRefusesPacketsAndTransfers) {
+TEST_F(SpineFixture, DownLinkRefusesPackets) {
   const SpineLinkId id = add(0, 1);
   spine.set_link_up(id, false);
   EXPECT_FALSE(spine.send_packet(id, 0, DataSize::bytes(64), nullptr));
-  EXPECT_FALSE(spine.transfer(id, 0, DataSize::bytes(64), nullptr));
   EXPECT_EQ(spine.counters().get("spine.packets_refused"), 1u);
-  EXPECT_EQ(spine.counters().get("spine.transfers_refused"), 1u);
   EXPECT_EQ(spine.counters().get("spine.packets"), 0u);
 }
 
@@ -252,6 +250,16 @@ TEST_F(SpineFixture, RejectsBadLinkParams) {
   bad_loss.loss_prob = -0.01;
   EXPECT_THROW(spine.add_link(bad_loss), std::invalid_argument);
 
+  // A negative latency would schedule an arrival before its send;
+  // zero stays legal.
+  SpineLinkParams bad_latency;
+  bad_latency.a = {0, 0};
+  bad_latency.b = {1, 0};
+  bad_latency.latency = SimTime::zero() - SimTime::microseconds(50);
+  EXPECT_THROW(spine.add_link(bad_latency), std::invalid_argument);
+  bad_latency.latency = SimTime::zero() - SimTime::picoseconds(1);
+  EXPECT_THROW(spine.add_link(bad_latency), std::invalid_argument);
+
   // Non-finite rates, costs and loss probabilities are refused too: a
   // NaN rate or cost would reach the float-to-integer cast in
   // transmission_time.
@@ -269,6 +277,8 @@ TEST_F(SpineFixture, RejectsBadLinkParams) {
     EXPECT_THROW(spine.add_link(p), std::invalid_argument) << v;
   }
   EXPECT_EQ(spine.link_count(), 0u);
+  bad_latency.latency = SimTime::zero();
+  EXPECT_NO_THROW(spine.add_link(bad_latency));
 
   const SpineLinkId id = add(0, 1);
   EXPECT_THROW(spine.set_link_cost(id, -1.0), std::invalid_argument);

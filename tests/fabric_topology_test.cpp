@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "fabric/builders.hpp"
 
 namespace rsf::fabric {
@@ -10,6 +13,44 @@ namespace {
 using phy::LinkId;
 using rsf::sim::Simulator;
 using namespace rsf::sim::literals;
+
+/// Build a 3x3 grid with one PHY parameter overridden: a value that
+/// would hang a bounded run or fail every flow must be refused when the
+/// rack is built.
+template <typename Override>
+void expect_rack_refused(Override set) {
+  Simulator sim;
+  RackParams p;
+  p.width = 3;
+  p.height = 3;
+  set(p);
+  EXPECT_THROW(static_cast<void>(build_grid(&sim, p)), std::invalid_argument);
+}
+
+TEST(Topology, RefusesNanHopMeters) {
+  expect_rack_refused([](RackParams& p) { p.hop_meters = std::nan(""); });
+}
+
+TEST(Topology, RefusesInfiniteHopMeters) {
+  expect_rack_refused(
+      [](RackParams& p) { p.hop_meters = std::numeric_limits<double>::infinity(); });
+}
+
+TEST(Topology, RefusesZeroLaneRate) {
+  expect_rack_refused([](RackParams& p) { p.lane_rate = phy::DataRate::gbps(0); });
+}
+
+TEST(Topology, RefusesNegativeLaneRate) {
+  expect_rack_refused([](RackParams& p) { p.lane_rate = phy::DataRate::gbps(-25); });
+}
+
+TEST(Topology, RefusesBerAboveOne) {
+  expect_rack_refused([](RackParams& p) { p.initial_ber = 2.0; });
+}
+
+TEST(Topology, RefusesNegativeBer) {
+  expect_rack_refused([](RackParams& p) { p.initial_ber = -1.0; });
+}
 
 TEST(Topology, GridBuilderWiresExpectedLinkCount) {
   Simulator sim;

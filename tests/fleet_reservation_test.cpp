@@ -304,42 +304,6 @@ TEST(FleetReservationPolicy, PreemptedPairFallsBackAndKeepsDelivering) {
   EXPECT_GT(fleet.spine().link_packets(1, 0), 0u);
 }
 
-TEST(FleetReservationPolicy, PureBulkIncastNotesDemandAndPromotes) {
-  // Store-and-forward flows must feed the pair-demand tracker too:
-  // under the bulk comparison baseline the reservation policy used to
-  // be blind (no packetization step ever noted byte·hops), so a
-  // persistently hot rack pair was never promoted. A sustained
-  // pure-bulk incast onto rack 1 must now earn its carve.
-  FleetConfig fc = policy_fleet(true);
-  fc.transport = runtime::SpineTransport::kStoreAndForward;
-  fc.controller.epoch = 100_us;
-  FleetRuntime fleet(fc);
-  constexpr int kSenders = 6;
-  constexpr int kFlows = 36;
-  int launched = 0;
-  int completed = 0;
-  std::function<void()> launch = [&] {
-    ++launched;
-    runtime::FleetFlowSpec spec;
-    spec.src = fleet.at(0, launched % 4, (launched / 4) % 4);
-    spec.dst = fleet.at(1, 0, 0);
-    spec.size = DataSize::kilobytes(64);
-    fleet.start_flow(spec, [&](const runtime::FleetFlowResult& r) {
-      ASSERT_FALSE(r.failed);
-      ++completed;
-      if (launched < kFlows) launch();
-    });
-  };
-  for (int i = 0; i < kSenders; ++i) launch();
-  fleet.start();
-  fleet.run_until();
-  fleet.stop();
-  EXPECT_EQ(completed, kFlows);
-  // Demand was recorded in byte·hops and the hot pair got promoted.
-  EXPECT_FALSE(fleet.spine().pair_demand().empty());
-  EXPECT_GE(fleet.controller().promotions(), 1u);
-}
-
 TEST(FleetReservationPolicy, RejectsBadPolicyConfig) {
   FleetConfig fc = policy_fleet(true);
   fc.controller.reservations.fraction = 1.0;
@@ -480,7 +444,10 @@ TEST(FleetFlowChurn, SequentialFlowsHoldThePoolAtPeakConcurrency) {
   EXPECT_EQ(fleet.free_flow_slots(), 1u);
 }
 
-TEST(FleetFlowChurn, StoreAndForwardChurnRecyclesToo) {
+TEST(FleetFlowChurn, SameRackChurnRecyclesToo) {
+  // Same-rack flows skip the packet pipeline: each is one plain
+  // Network flow whose completion finishes the fleet flow. Chained
+  // from the completion callback, they must recycle the one slot.
   FleetConfig fc;
   fc.racks.push_back(RackSpec{rack_config(), 0});
   fc.racks.push_back(RackSpec{rack_config(), 0});
@@ -488,23 +455,28 @@ TEST(FleetFlowChurn, StoreAndForwardChurnRecyclesToo) {
   s.rack_a = 0;
   s.rack_b = 1;
   fc.spine.push_back(s);
-  fc.transport = runtime::SpineTransport::kStoreAndForward;
   FleetRuntime fleet(fc);
   int completed = 0;
   std::function<void()> chain = [&] {
     runtime::FleetFlowSpec spec;
-    spec.src = fleet.at(0, 0, 0);
+    spec.src = fleet.at(1, 0, 0);
     spec.dst = fleet.at(1, 3, 3);
     spec.size = DataSize::kilobytes(4);
     fleet.start_flow(spec, [&](const runtime::FleetFlowResult& r) {
       ASSERT_FALSE(r.failed);
+      EXPECT_EQ(r.rack_legs, 1);
+      EXPECT_EQ(r.spine_hops, 0);
       if (++completed < 500) chain();
     });
   };
   chain();
   fleet.run_until();
   EXPECT_EQ(completed, 500);
+  EXPECT_EQ(fleet.flows_completed(), 500u);
   EXPECT_EQ(fleet.flow_slots(), 1u);
+  EXPECT_EQ(fleet.free_flow_slots(), 1u);
+  EXPECT_EQ(fleet.rack(1).network().flows_completed(), 500u);
+  EXPECT_EQ(fleet.spine().counters().get("spine.packets"), 0u);
 }
 
 TEST(FleetFlowChurn, ConcurrentBurstThenChurnKeepsThePeakBound) {

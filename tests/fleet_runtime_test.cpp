@@ -373,37 +373,6 @@ TEST(FleetRuntime, SpineLossRetransmitsUntilDelivered) {
   EXPECT_EQ(fleet.spine().link_drops(0, 0), c.get("spine.packet_drops"));
 }
 
-TEST(FleetRuntime, StoreAndForwardBaselineStillStages) {
-  FleetConfig fc;
-  fc.transport = runtime::SpineTransport::kStoreAndForward;
-  fc.racks.push_back(RackSpec{grid_config(), 0});
-  fc.racks.push_back(RackSpec{grid_config(), 0});
-  SpineSpec s;
-  s.rack_a = 0;
-  s.rack_b = 1;
-  fc.spine.push_back(s);
-  FleetRuntime fleet(fc);
-
-  runtime::FleetFlowSpec spec;
-  spec.src = fleet.at(0, 3, 3);
-  spec.dst = fleet.at(1, 2, 2);
-  spec.size = DataSize::kilobytes(64);
-  std::optional<runtime::FleetFlowResult> result;
-  fleet.start_flow(spec, [&](const runtime::FleetFlowResult& r) { result = r; });
-  fleet.run_until();
-
-  ASSERT_TRUE(result.has_value());
-  EXPECT_FALSE(result->failed);
-  EXPECT_EQ(result->spine_hops, 1);
-  EXPECT_EQ(result->rack_legs, 2);
-  // Bulk mode: ONE spine transfer for the whole payload, and the rack
-  // legs run as real Network flows, not per-packet probes.
-  EXPECT_EQ(fleet.spine().counters().get("spine.transfers"), 1u);
-  EXPECT_EQ(fleet.spine().counters().get("spine.packets"), 0u);
-  EXPECT_GT(fleet.rack(0).network().flows_completed(), 0u);
-  EXPECT_GT(fleet.rack(1).network().flows_completed(), 0u);
-}
-
 /// Drive one fixed cross-rack workload against `fleet`; used by the
 /// determinism regressions below.
 void run_reference_shuffle(FleetRuntime& fleet) {
@@ -668,6 +637,16 @@ TEST(FleetRuntime, RejectsBadConfigs) {
   s.rack_b = 7;  // no such rack
   bad_spine.spine.push_back(s);
   EXPECT_THROW(FleetRuntime{bad_spine}, std::invalid_argument);
+
+  // A negative spine latency is refused at construction, not at the
+  // first cross-rack send.
+  FleetConfig bad_latency;
+  bad_latency.racks.push_back(RackSpec{grid_config(), 0});
+  bad_latency.racks.push_back(RackSpec{grid_config(), 0});
+  s.rack_b = 1;
+  s.latency = 0_us - 50_us;
+  bad_latency.spine.push_back(s);
+  EXPECT_THROW(FleetRuntime{bad_latency}, std::invalid_argument);
 
   // Bad flow specs fail at the call site, not mid-simulation.
   FleetConfig ok;

@@ -7,13 +7,14 @@
 // and shared-risk-group up/down, repricing, carves and slot bookings
 // (with and without an avoid-set), releases of live and stale
 // handles, packet sends with no handle, a carve, a slot schedule or a
-// stale handle, bulk transfers, and clock advances that cross slot
-// lease expiry — and after every op the two must agree bit for bit:
-// return values and exceptions, every direction's carved and slotted
-// fractions and residual rate, route() for every rack pair, each
-// claim's liveness, route, fraction and mask, the per-pair lookups,
-// the whole spine registry, and every packet's (arrival, delivered)
-// callback.
+// stale handle, and clock advances that cross slot lease expiry — and
+// after every op the two must agree bit for bit: return values and
+// exceptions, every direction's carved and slotted fractions and
+// residual rate, route() for every rack pair, each claim's liveness,
+// route, fraction and mask, the per-pair lookups, the whole spine
+// registry, and every packet's (arrival, delivered) callback. The
+// reference's bulk transfer() has no counterpart in the class under
+// test and is never driven.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -234,8 +235,7 @@ class Oracle {
     if (roll < 33) return op_reserve();
     if (roll < 45) return op_reserve_slots();
     if (roll < 53) return op_release();
-    if (roll < 82) return op_send();
-    if (roll < 85) return op_transfer();
+    if (roll < 85) return op_send();
     return op_advance();
   }
 
@@ -417,26 +417,6 @@ class Oracle {
     return what;
   }
 
-  std::string op_transfer() {
-    const auto id = static_cast<SpineLinkId>(pick(links_.size()));
-    const std::uint32_t from = pick(2) == 0 ? links_[id].first : links_[id].second;
-    const DataSize size = DataSize::kilobytes(static_cast<std::int64_t>(1 + pick(8)));
-    const std::uint64_t packet = next_packet_++;
-    const std::string what = "transfer(" + std::to_string(id) + ", from " + std::to_string(from) + ")";
-    expect_same(capture([&] {
-                  return std::string(ref_ic_.transfer(id, from, size, [this, packet](SimTime t) {
-                    ref_log_.push_back({packet, t.ps(), true});
-                  }) ? "sent" : "refused");
-                }),
-                capture([&] {
-                  return std::string(sut_ic_.transfer(id, from, size, [this, packet](SimTime t) {
-                    sut_log_.push_back({packet, t.ps(), true});
-                  }) ? "sent" : "refused");
-                }),
-                what);
-    return what;
-  }
-
   std::string op_advance() {
     static constexpr std::int64_t kStepNs[] = {0, 100, 1000, 5000, 20000, 50000};
     const SimTime step = SimTime::nanoseconds(kStepNs[pick(6)]);
@@ -583,7 +563,7 @@ TEST(InterconnectOracle, RandomOpSequencesMatchTheReference) {
         "spine.slot_refusals", "spine.slot_releases", "spine.slot_preemptions",
         "spine.slot_expirations", "spine.slotted_bytes", "spine.packet_drops",
         "spine.packets_refused", "spine.srlg_cuts", "spine.srlg_repairs",
-        "spine.srlg_noop_repairs", "spine.reprices", "spine.transfers"}) {
+        "spine.srlg_noop_repairs", "spine.reprices"}) {
     EXPECT_GT(seen.get(name), 0u) << name;
   }
 }

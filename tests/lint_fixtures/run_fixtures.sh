@@ -2,7 +2,8 @@
 # Fixture gate for rsf-lint. This is the negative test that proves the
 # lint ctest CAN fail: every bad fixture must be rejected with the
 # right rule id (and only by its own rule), every good fixture must
-# pass all rules, the baseline ratchet must both suppress matched
+# pass all rules, a documented metric row the linted tree no longer
+# names must fail D5, the baseline ratchet must both suppress matched
 # entries and fail stale ones, and injecting a single fresh violation
 # into a clean file must flip it to failing.
 #
@@ -74,6 +75,21 @@ for r in 1 2 3 4 5; do
   run 0 "good/d$r.cpp" "good/d$r.cpp"
 done
 run 0 "good corpus together" good/d1.cpp good/d2.cpp good/d3.cpp good/d4.cpp good/d5.cpp
+
+# ---- 2b. D5 in reverse: linting a whole tree (--src-root), every
+# metric row of the doc must still be named there, directly or
+# composed from two literals ----
+DOC=good/d5_rows.md run 0 "good/d5_rows.md: every row named by the good tree" \
+    --rule D5 --src-root good
+if DOC=bad/d5_rows.md run 1 "bad/d5_rows.md: stale rows" --rule D5 --src-root good; then
+  [ "$(echo "$OUT" | grep -c '^bad/d5_rows.md:[0-9]*: \[D5\]')" -eq 2 ] ||
+    fail "bad/d5_rows.md: wanted exactly the two stale rows, got:"$'\n'"$OUT"
+  for name in net.retired_counter net.drops.retired_reason; do
+    echo "$OUT" | grep -qF "\"$name\"" || fail "bad/d5_rows.md: '$name' not flagged"
+  done
+fi
+# Lone files prove nothing about absence: no reverse check without a tree.
+DOC=bad/d5_rows.md run 0 "bad/d5_rows.md against lone files" --rule D5 good/d5.cpp
 
 # ---- 3. baseline ratchet mechanics ----
 # 3a. --update-baseline then rerun: everything suppressed, exit 0.

@@ -4,7 +4,9 @@
 #   1. every relative markdown link in README.md and docs/*.md
 #      resolves to an existing file;
 #   2. every registry metric name mentioned in src/ is documented in
-#      docs/METRICS.md — new counters must land with their docs.
+#      docs/METRICS.md — new counters must land with their docs — and
+#      every metric row there is still named in src/, so a deleted
+#      counter takes its row with it.
 #
 # Part 2 is rsf-lint rule D5 (tools/lint/): the lint pass owns the
 # quoted dotted-name convention ("net.retransmits", ...), the link<N>

@@ -124,6 +124,7 @@ void usage() {
       "  --compdb FILE       add the TUs listed in compile_commands.json\n"
       "                      (filtered to --src-root when given)\n"
       "  --metrics-doc FILE  enable rule D5 against this metrics document\n"
+      "                      (its stale rows too, when --src-root is given)\n"
       "  --baseline FILE     ratchet file: listed findings pass, stale entries fail\n"
       "  --update-baseline   rewrite --baseline with the current findings\n"
       "  --rule LIST         comma-separated subset of D0,D1,D2,D3,D4,D5\n";
@@ -227,7 +228,9 @@ int main(int argc, char** argv) {
       std::cerr << "rsf-lint: cannot read " << metrics_doc_path << "\n";
       return 2;
     }
+    cfg.metrics_doc_path = display_path(metrics_doc_path);
     cfg.metrics_doc_loaded = true;
+    cfg.whole_tree = !roots.empty();
   } else if (cfg.rules.count("D5") > 0) {
     std::cerr << "rsf-lint: --rule D5 needs --metrics-doc\n";
     return 2;

@@ -24,8 +24,35 @@ const std::set<std::string> kNontrivialTypes = {
     "unordered_multiset", "shared_ptr", "unique_ptr", "function"};
 const std::set<std::string> kScheduleCalls = {"schedule_at", "schedule_after",
                                               "schedule_weak_at", "schedule_weak_after"};
+// The registry prefixes D5 treats as metric names.
+const std::vector<std::string> kMetricPrefixes = {"net.", "crc.", "spine.",
+                                                  "fleet.", "plp.", "chaos."};
 const std::set<std::string> kKnownDirectives = {"order-insensitive", "unguarded-slot-ok",
                                                 "cold-event", "nondet-ok"};
+
+bool is_metric_name(const std::string& s) {
+  for (const std::string& p : kMetricPrefixes) {
+    if (s.compare(0, p.size(), p) == 0) return true;
+  }
+  return false;
+}
+
+/// Per-link names normalize link<digits> to the documented link<N>
+/// pattern.
+std::string normalize_links(const std::string& s) {
+  std::string norm;
+  for (std::size_t i = 0; i < s.size();) {
+    if (s.compare(i, 4, "link") == 0 && i + 4 < s.size() &&
+        std::isdigit(static_cast<unsigned char>(s[i + 4]))) {
+      norm += "link<N>";
+      i += 4;
+      while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) ++i;
+    } else {
+      norm.push_back(s[i++]);
+    }
+  }
+  return norm;
+}
 
 /// Per sibling-pair (same path stem: foo.hpp + foo.cpp) symbol table.
 /// Name-based and file-local by design: a `cb` declared std::function
@@ -545,19 +572,10 @@ struct Analyzer {
 
   void check_d5(const SourceFile& f) {
     if (!cfg.enabled("D5") || !cfg.metrics_doc_loaded) return;
-    static const std::vector<std::string> kPrefixes = {"net.", "crc.", "spine.",
-                                                       "fleet.", "plp.", "chaos."};
     for (const Token& tok : f.tokens) {
       if (tok.kind != Token::Kind::String) continue;
       const std::string& s = tok.text;
-      bool prefixed = false;
-      for (const std::string& p : kPrefixes) {
-        if (s.size() >= p.size() && s.compare(0, p.size(), p) == 0) {
-          prefixed = true;
-          break;
-        }
-      }
-      if (!prefixed) continue;
+      if (!is_metric_name(s)) continue;
       bool clean = true;
       for (char c : s) {
         if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' && c != '.' &&
@@ -567,24 +585,59 @@ struct Analyzer {
         }
       }
       if (!clean) continue;
-      // Per-link names normalize link<digits> to the documented
-      // link<N> pattern (same convention as tools/check_docs.sh).
-      std::string norm;
-      for (std::size_t i = 0; i < s.size();) {
-        if (s.compare(i, 4, "link") == 0 && i + 4 < s.size() &&
-            std::isdigit(static_cast<unsigned char>(s[i + 4]))) {
-          norm += "link<N>";
-          i += 4;
-          while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) ++i;
-        } else {
-          norm.push_back(s[i++]);
-        }
-      }
+      const std::string norm = normalize_links(s);
       if (cfg.metrics_doc.find(norm) == std::string::npos) {
         report(f, tok.line, "D5",
                "metric \"" + s + "\" is not documented in docs/METRICS.md (looked for \"" +
                    norm + "\"); new counters must land with their docs");
       }
+    }
+  }
+
+  /// D5, reverse direction: every metric row of the doc must still be
+  /// named in the analyzed tree. A name counts as present when it is a
+  /// string literal, or is composed from two: a literal ending in '.'
+  /// plus the rest ("net.drops." + reason), or the two sides of a
+  /// per-link index ("spine.link" + std::to_string(id) + ".packets").
+  void check_d5_rows(const std::vector<SourceFile>& files) {
+    if (!cfg.enabled("D5") || !cfg.metrics_doc_loaded || !cfg.whole_tree) return;
+    std::set<std::string> literals;
+    for (const SourceFile& f : files) {
+      for (const Token& tok : f.tokens) {
+        if (tok.kind == Token::Kind::String) literals.insert(normalize_links(tok.text));
+      }
+    }
+    const auto named = [&](const std::string& name) {
+      if (literals.count(name) > 0) return true;
+      for (std::size_t i = 1; i < name.size(); ++i) {
+        if (name[i - 1] == '.' && literals.count(name.substr(0, i)) > 0 &&
+            literals.count(name.substr(i)) > 0) {
+          return true;
+        }
+      }
+      const std::size_t n = name.find("link<N>");
+      return n != std::string::npos && literals.count(name.substr(0, n + 4)) > 0 &&
+             literals.count(name.substr(n + 7)) > 0;
+    };
+    // Metric rows: a table line whose first cell is one backticked name.
+    int line_no = 0;
+    std::size_t start = 0;
+    while (start < cfg.metrics_doc.size()) {
+      std::size_t end = cfg.metrics_doc.find('\n', start);
+      if (end == std::string::npos) end = cfg.metrics_doc.size();
+      const std::string line = cfg.metrics_doc.substr(start, end - start);
+      start = end + 1;
+      ++line_no;
+      if (line.rfind("| `", 0) != 0) continue;
+      const std::size_t close = line.find('`', 3);
+      if (close == std::string::npos) continue;
+      const std::string name = line.substr(3, close - 3);
+      if (!is_metric_name(name) || named(name)) continue;
+      findings.push_back(Finding{"D5", cfg.metrics_doc_path, line_no,
+                                 "documented metric \"" + name +
+                                     "\" is named nowhere in the source tree; delete its "
+                                     "row with the counter",
+                                 normalize_ws(line)});
     }
   }
 };
@@ -605,6 +658,7 @@ std::vector<Finding> analyze(const std::vector<SourceFile>& files,
     a.check_d4(f, lambdas);
     a.check_d5(f);
   }
+  a.check_d5_rows(files);
   std::sort(a.findings.begin(), a.findings.end(), [](const Finding& x, const Finding& y) {
     if (x.path != y.path) return x.path < y.path;
     if (x.line != y.line) return x.line < y.line;

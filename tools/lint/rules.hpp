@@ -28,7 +28,9 @@
 //   D5  counter-name hygiene: every metric string literal
 //       ("net.*", "crc.*", "spine.*", "fleet.*", "plp.*", "chaos.*")
 //       must appear in docs/METRICS.md (link<digits> normalizes to
-//       link<N>). No annotation escape — document the counter.
+//       link<N>), and — when a whole tree is linted — every metric
+//       row of the doc must still be named by the tree's literals.
+//       No annotation escape — document (or undocument) the counter.
 #pragma once
 
 #include <set>
@@ -50,8 +52,13 @@ struct Finding {
 struct AnalyzerConfig {
   /// Empty set = all rules. D5 additionally requires metrics_doc.
   std::set<std::string> rules;
-  std::string metrics_doc;  // full text of docs/METRICS.md
+  std::string metrics_doc;       // full text of docs/METRICS.md
+  std::string metrics_doc_path;  // where reverse-D5 findings point
   bool metrics_doc_loaded = false;
+  /// The file set is a whole source tree (--src-root), so a documented
+  /// counter none of its literals names is really gone: enables D5's
+  /// reverse direction. Lone files prove nothing about absence.
+  bool whole_tree = false;
 
   [[nodiscard]] bool enabled(const std::string& rule) const {
     return rules.empty() || rules.count(rule) > 0;
